@@ -6,8 +6,9 @@
 //! cargo run --release -p bench --bin calibrate [duration_ns] [relay_pair_packets]
 //! ```
 //!
-//! Used to tune `ObliviousConfig::relay_pair_packets` (see DESIGN.md's
-//! baseline-substitution note) and to spot-check engine performance.
+//! Used to tune `ObliviousConfig::relay_pair_packets` (the per-pair relay
+//! buffer that stands in for Sirius's credit-based flow control; see the
+//! `oblivious` crate docs) and to spot-check engine performance.
 
 use bench::runs::*;
 use negotiator::{NegotiatorConfig, SimOptions};

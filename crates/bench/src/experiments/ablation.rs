@@ -1,5 +1,5 @@
-//! Ablations of design choices the paper motivates but does not sweep —
-//! called out in DESIGN.md's per-experiment index:
+//! Ablations of design choices the paper motivates but does not sweep
+//! (listed with the other experiments by `paper list`):
 //!
 //! * **Request threshold** (§3.4.1): raising the threshold from zero to
 //!   three piggybacked packets avoids granting ports to pairs whose entire

@@ -16,9 +16,8 @@
 //! them across `--jobs N` worker threads, reassembling outputs in spec
 //! order so parallel reports are byte-identical to serial ones.
 //!
-//! DESIGN.md carries the per-experiment index mapping every id to its
-//! paper artifact, workload and modules; EXPERIMENTS.md records
-//! paper-vs-measured comparisons.
+//! `paper list` prints the experiment catalog, mapping every id to its
+//! paper artifact; README § "The sweep CLI" covers running it.
 
 pub mod cache;
 pub mod cli;

@@ -33,11 +33,11 @@
 //! The engine also hosts the Appendix A.2 design variants via
 //! [`SchedulerMode`] and [`SimOptions::selective_relay`] — only the
 //! scheduling logic changes, never the data path, mirroring the paper's
-//! methodology. Two deliberate simulation simplifications, both documented
-//! in DESIGN.md: flows are injected at timeslot granularity (the paper's
-//! packet simulator injects continuously; a timeslot is 60–90 ns), and the
-//! stateful variant's accept-feedback reaches the demand matrix one epoch
-//! early (the revert path is exercised identically).
+//! methodology. Two deliberate simulation simplifications: flows are
+//! injected at timeslot granularity (the paper's packet simulator injects
+//! continuously; a timeslot is 60–90 ns), and the stateful variant's
+//! accept-feedback reaches the demand matrix one epoch early (the revert
+//! path is exercised identically).
 
 use crate::config::NegotiatorConfig;
 use crate::fault::FaultDetector;
@@ -114,9 +114,9 @@ pub struct SimOptions {
     /// Intra-run worker threads for the per-ToR phase work (`--workers`).
     /// ToRs are partitioned into contiguous shards (`sim::shard`) and
     /// shard results merge in fixed shard order, so any value — including
-    /// the default `1`, which runs fully sequential — produces
+    /// the default `1`, a single shard on the caller's thread — produces
     /// byte-identical reports. Selective-relay runs ignore the knob and
-    /// stay sequential: relay admission is order-dependent across ToRs
+    /// use one shard: relay admission is order-dependent across ToRs
     /// (see `sim/parallel.rs`).
     pub workers: usize,
 }
@@ -168,16 +168,16 @@ struct ActiveTx {
 
 /// Reusable per-epoch buffers: every `Vec` the scheduling steps used to
 /// allocate afresh each epoch lives here instead, cleared and reused so
-/// steady-state epochs perform no heap allocation at all.
+/// steady-state epochs allocate nothing per pair or per packet.
 #[derive(Debug, Default)]
 struct SimScratch {
-    /// Swapped against `inbox_grants[src]` in ACCEPT.
+    /// Swapped against `inbox.grants[src]` in ACCEPT.
     grants_in: Vec<(Grant, u64)>,
     /// Grant messages stripped of their stateful debit.
     grants: Vec<Grant>,
     /// ACCEPT output.
     accepts: Vec<Accept>,
-    /// Swapped against `inbox_requests[dst]` in GRANT.
+    /// Swapped against `inbox.requests[dst]` in GRANT.
     reqs: Vec<ReqIn>,
     /// Requesting sources (base/stateful GRANT input).
     srcs: Vec<usize>,
@@ -189,12 +189,94 @@ struct SimScratch {
     usable_vals: Vec<(usize, f64)>,
     /// Projector port requests.
     preqs: Vec<projector::PortRequest>,
-    /// Swapped against `inbox_relay_req[via]`.
+    /// Swapped against `inbox.relay_req[via]`.
     relay_reqs: Vec<RelayRequest>,
-    /// Swapped against `inbox_relay_grant[src]`.
+    /// Swapped against `inbox.relay_grant[src]`.
     relay_grants: Vec<(usize, usize, usize, u64)>,
     /// Batched scheduled-phase packets of one matched port.
     packets: Vec<Packet>,
+}
+
+/// This epoch's outgoing scheduling messages, indexed `src * n + dst`
+/// unless noted. Grants and relay messages are bucketed per pair, so the
+/// predefined phase delivers each connection's messages in O(messages)
+/// instead of scanning the sender's whole outbox.
+struct Outboxes {
+    req: Vec<f64>,                          // live iff REQ_FLAG set
+    req_port: Vec<usize>,                   // projector port binding
+    grants: Vec<Vec<(u32, u64)>>,           // granter * n + requester: (port, debit)
+    relay_req: Vec<Vec<RelayRequest>>,      // src * n + via (relay only)
+    relay_grant: Vec<Vec<(u32, u32, u64)>>, // via * n + src: (port, final, vol) (relay only)
+}
+
+/// Scheduling messages delivered by the predefined phase, consumed at
+/// the next epoch start; one inbox per receiving ToR.
+struct Inboxes {
+    requests: Vec<Vec<ReqIn>>,
+    grants: Vec<Vec<(Grant, u64)>>, // (grant, stateful debit)
+    relay_req: Vec<Vec<RelayRequest>>,
+    relay_grant: Vec<Vec<(usize, usize, usize, u64)>>, // (via, port, final, vol)
+}
+
+impl Inboxes {
+    /// Move this epoch's scheduling messages across one predefined
+    /// connection `src → dst`: an O(messages) indexed delivery of what
+    /// `flags` marks — the request slot plus the pair's grant/relay
+    /// buckets, no scanning.
+    fn deliver(&mut self, out: &Outboxes, n: usize, src: usize, dst: usize, flags: u8) {
+        let idx = src * n + dst;
+        if flags & REQ_FLAG != 0 {
+            self.requests[dst].push(ReqIn {
+                src,
+                value: out.req[idx],
+                port: out.req_port[idx],
+            });
+        }
+        // Grants computed by `src` for requester `dst` ride this connection.
+        if flags & GRANT_FLAG != 0 {
+            for &(port, debit) in &out.grants[idx] {
+                let grant = Grant {
+                    dst: src,
+                    port: port as usize,
+                };
+                self.grants[dst].push((grant, debit));
+            }
+        }
+        if flags & RELAY_REQ_FLAG != 0 {
+            self.relay_req[dst].extend_from_slice(&out.relay_req[idx]);
+        }
+        if flags & RELAY_GRANT_FLAG != 0 {
+            for &(port, final_dst, vol) in &out.relay_grant[idx] {
+                self.relay_grant[dst].push((src, port as usize, final_dst as usize, vol));
+            }
+        }
+    }
+}
+
+/// The receive side of every ToR: what a data delivery writes besides
+/// the flow tracker.
+struct Receivers {
+    /// §3.6.5 receive buffers (empty unless `host_buffer_bytes` is set).
+    buffer: Vec<u64>,
+    /// Per-destination bandwidth series (empty unless `rx_window` is set).
+    series: Vec<BandwidthSeries>,
+    /// Network-wide delivery series (`total_rx_window`).
+    total: Option<BandwidthSeries>,
+}
+
+impl Receivers {
+    fn deliver(&mut self, tracker: &mut FlowTracker, dst: usize, flow: u64, bytes: u64, at: Nanos) {
+        if let Some(b) = self.buffer.get_mut(dst) {
+            *b += bytes;
+        }
+        tracker.deliver(flow, bytes, at);
+        if let Some(series) = self.series.get_mut(dst) {
+            series.record(at, bytes);
+        }
+        if let Some(total) = self.total.as_mut() {
+            total.record(at, bytes);
+        }
+    }
 }
 
 /// The full NegotiaToR simulator.
@@ -222,19 +304,14 @@ pub struct NegotiatorSim {
 
     // Pipeline outboxes (filled at epoch start, drained by the predefined
     // phase) and inboxes (filled by the predefined phase, consumed next
-    // epoch start). Outgoing grants are bucketed per (granter, requester)
-    // pair so the predefined phase delivers each connection's messages in
-    // O(messages) instead of scanning the granter's whole outbox.
-    req_out: Vec<f64>,                    // src * n + dst (live iff REQ_FLAG set)
-    req_dirty: Vec<u32>,                  // indices with REQ_FLAG set this epoch
-    req_port_out: Vec<usize>,             // projector port binding
-    msg_flags: Vec<u8>,                   // src * n + dst: REQ/GRANT/RELAY_* presence
-    grant_buckets: Vec<Vec<(u32, u64)>>,  // granter * n + requester: (port, debit)
-    grant_dirty: Vec<u32>,                // non-empty bucket indices, cleared per epoch
-    port_granted: Vec<bool>,              // granter * s + port (relay leftover-port check)
-    inbox_requests: Vec<Vec<ReqIn>>,      // per dst
-    inbox_grants: Vec<Vec<(Grant, u64)>>, // per src: (grant, stateful debit)
-    active: Vec<Option<usize>>,           // src * s + port -> dst
+    // epoch start).
+    out: Outboxes,
+    inbox: Inboxes,
+    req_dirty: Vec<u32>,        // indices with REQ_FLAG set this epoch
+    msg_flags: Vec<u8>,         // src * n + dst: REQ/GRANT/RELAY_* presence
+    grant_dirty: Vec<u32>,      // non-empty bucket indices, cleared per epoch
+    port_granted: Vec<bool>,    // granter * s + port (relay leftover-port check)
+    active: Vec<Option<usize>>, // src * s + port -> dst
     /// Dense (src, port)-ordered transmissions of this epoch's scheduled
     /// phase — what the phase iterates instead of all `n · s` slots.
     active_list: Vec<ActiveTx>,
@@ -248,15 +325,11 @@ pub struct NegotiatorSim {
     reported_total: Vec<u64>,    // stateful: bytes already reported
     iter_pending: VecDeque<Vec<Vec<Accept>>>, // iterative activation queue
 
-    // Selective relay state (outboxes bucketed like the grants above).
+    // Selective relay state.
     relay_policy: RelayPolicy,
     relay_buffers: Vec<RelayBuffer>,
-    relay_req_buckets: Vec<Vec<RelayRequest>>, // src * n + via
     relay_req_dirty: Vec<u32>,
-    relay_grant_buckets: Vec<Vec<(u32, u32, u64)>>, // via * n + src: (port, final, vol)
     relay_grant_dirty: Vec<u32>,
-    inbox_relay_req: Vec<Vec<RelayRequest>>, // per via
-    inbox_relay_grant: Vec<Vec<(usize, usize, usize, u64)>>, // per src: (via, port, final, vol)
     active_relay: Vec<Option<(usize, usize, u64)>>, // src*s+port -> (via, final, vol left)
 
     // Dense mirror of every queue's total bytes (src * n + dst), updated
@@ -287,16 +360,14 @@ pub struct NegotiatorSim {
     ingress_attempted: Vec<bool>,
     ingress_ok: Vec<bool>,
 
-    // §3.6.5 receiver-side buffers (empty unless host_buffer_bytes set).
-    rx_buffer: Vec<u64>,
+    // Receive buffers and series; hosts drain the buffers each epoch.
+    rx: Receivers,
     host_drain_per_epoch: u64,
 
     // Metrics.
     tracker: Option<FlowTracker>,
     match_rec: MatchRatioRecorder,
     stats: SchedStats,
-    rx_series: Vec<BandwidthSeries>,
-    total_rx: Option<BandwidthSeries>,
     phase_probe: Option<PhaseProbe>,
     /// Flight recorder (`None` = tracing off: one branch per epoch).
     recorder: Option<Box<FlightRecorder>>,
@@ -304,8 +375,8 @@ pub struct NegotiatorSim {
 
     // Reusable per-epoch buffers.
     scratch: SimScratch,
-    /// Per-shard lanes + merge cursors for the intra-run parallel path
-    /// (`opts.workers > 1`); empty and untouched when sequential.
+    /// Per-shard scratch, lanes and merge cursors of k-shard phases;
+    /// untouched while every phase runs on one shard.
     par: parallel::ParState,
 
     ran: bool,
@@ -340,10 +411,6 @@ impl NegotiatorSim {
         let sched_payload = cfg.scheduled_payload();
         let epoch_capacity = sched_payload * cfg.epoch.scheduled_slots as u64;
         let stateful = matches!(opts.mode, SchedulerMode::Stateful);
-        let rx_series = match opts.rx_window {
-            Some(w) => (0..n).map(|_| BandwidthSeries::new(w)).collect(),
-            None => Vec::new(),
-        };
         let selective_relay = opts.selective_relay;
         let pair_port_tbl = if selective_relay {
             let mut tbl = vec![0u8; n * n];
@@ -371,15 +438,23 @@ impl NegotiatorSim {
             queues: (0..n * n).map(|_| DestQueue::new()).collect(),
             grant_arbs,
             accept_arbs,
-            req_out: vec![f64::NAN; n * n],
+            out: Outboxes {
+                req: vec![f64::NAN; n * n],
+                req_port: vec![usize::MAX; n * n],
+                grants: vec![Vec::new(); n * n],
+                relay_req: vec![Vec::new(); if selective_relay { n * n } else { 0 }],
+                relay_grant: vec![Vec::new(); if selective_relay { n * n } else { 0 }],
+            },
+            inbox: Inboxes {
+                requests: vec![Vec::new(); n],
+                grants: vec![Vec::new(); n],
+                relay_req: vec![Vec::new(); n],
+                relay_grant: vec![Vec::new(); n],
+            },
             req_dirty: Vec::new(),
-            req_port_out: vec![usize::MAX; n * n],
             msg_flags: vec![0; n * n],
-            grant_buckets: vec![Vec::new(); n * n],
             grant_dirty: Vec::new(),
             port_granted: vec![false; n * s],
-            inbox_requests: vec![Vec::new(); n],
-            inbox_grants: vec![Vec::new(); n],
             active: vec![None; n * s],
             active_list: Vec::with_capacity(n * s),
             pre_cache: PredefinedCache::build(&topo),
@@ -393,12 +468,8 @@ impl NegotiatorSim {
             iter_pending: VecDeque::new(),
             relay_policy: RelayPolicy::default_for(epoch_capacity),
             relay_buffers: (0..n).map(|_| RelayBuffer::default()).collect(),
-            relay_req_buckets: vec![Vec::new(); if selective_relay { n * n } else { 0 }],
             relay_req_dirty: Vec::new(),
-            relay_grant_buckets: vec![Vec::new(); if selective_relay { n * n } else { 0 }],
             relay_grant_dirty: Vec::new(),
-            inbox_relay_req: vec![Vec::new(); n],
-            inbox_relay_grant: vec![Vec::new(); n],
             active_relay: vec![None; n * s],
             queue_bytes: vec![0; n * n],
             backlog_by_port: if selective_relay {
@@ -416,20 +487,18 @@ impl NegotiatorSim {
             egress_ok: vec![false; n * s],
             ingress_attempted: vec![false; n * s],
             ingress_ok: vec![false; n * s],
-            rx_buffer: vec![
-                0;
-                if opts.host_buffer_bytes.is_some() {
-                    n
-                } else {
-                    0
-                }
-            ],
+            rx: Receivers {
+                buffer: vec![0; opts.host_buffer_bytes.map_or(0, |_| n)],
+                series: match opts.rx_window {
+                    Some(w) => (0..n).map(|_| BandwidthSeries::new(w)).collect(),
+                    None => Vec::new(),
+                },
+                total: opts.total_rx_window.map(BandwidthSeries::new),
+            },
             host_drain_per_epoch: 0, // finalized below (needs epoch length)
             tracker: None,
             match_rec: MatchRatioRecorder::new(),
             stats: SchedStats::default(),
-            rx_series,
-            total_rx: opts.total_rx_window.map(BandwidthSeries::new),
             phase_probe: None,
             recorder: None,
             ran_duration: 0,
@@ -450,13 +519,14 @@ impl NegotiatorSim {
         self.epoch_len
     }
 
-    /// Effective intra-run worker count. Selective relay pins the run to
-    /// one worker: relay admission reads claims left by lower-numbered
-    /// ToRs in the same step, so its visit order is semantic, not an
-    /// artifact — sharding it would change bytes. The clamp never makes
-    /// path *selection* depend on data, only on options fixed at
-    /// construction, so a `workers > 1` run is byte-identical to the
-    /// sequential one by the merge rules in `sim/parallel.rs`.
+    /// Shard count for the epoch phases. Every phase has one
+    /// implementation: with one shard its body writes through a direct
+    /// sink in place; with k shards each body writes to a lane that
+    /// replays in one-shard order (`sim/parallel.rs`), so any count gives
+    /// the same bytes. Selective relay pins the run to one shard: relay
+    /// admission reads claims left by lower-numbered ToRs in the same
+    /// step, so its visit order is semantic, not an artifact. The clamp
+    /// depends only on options fixed at construction, never on data.
     fn par_workers(&self) -> usize {
         if self.opts.selective_relay {
             1
@@ -510,9 +580,9 @@ impl NegotiatorSim {
     /// deltas, detector transitions, flow-lifecycle span milestones and
     /// per-ToR backlog watermarks. Reads the same merged state the phase
     /// counters read: the dirty lists hold this epoch's REQUEST pairs and
-    /// GRANT buckets as *sets* (the parallel steps concatenate per-lane
-    /// lists in shard order, so the set is worker-invariant even though
-    /// the order is not), and span emission iterates live flows in flow-id
+    /// GRANT buckets (k-shard steps concatenate per-lane lists in shard
+    /// order, which is the one-shard row order; stamping only needs the
+    /// set anyway), and span emission iterates live flows in flow-id
     /// order — which is what keeps span bytes identical at any worker
     /// count. Only called when a recorder is attached; the divergence
     /// scan, the span sweep and the O(n²) backlog row sums are paid only
@@ -643,12 +713,12 @@ impl NegotiatorSim {
 
     /// Receive-bandwidth series of ToR `dst` (requires `rx_window`).
     pub fn rx_series(&self, dst: usize) -> Option<&BandwidthSeries> {
-        self.rx_series.get(dst)
+        self.rx.series.get(dst)
     }
 
     /// Network-wide delivery series (requires `total_rx_window`).
     pub fn total_rx(&self) -> Option<&BandwidthSeries> {
-        self.total_rx.as_ref()
+        self.rx.total.as_ref()
     }
 
     /// Build a report restricted to flows where `tags[id]` is true
@@ -843,9 +913,9 @@ impl NegotiatorSim {
 
     fn epoch_start(&mut self, epoch: u64, t0: Nanos) {
         // §3.6.5: hosts drain the receive buffers at the downlink rate.
-        if !self.rx_buffer.is_empty() {
+        if !self.rx.buffer.is_empty() {
             let drain = self.host_drain_per_epoch;
-            for b in &mut self.rx_buffer {
+            for b in &mut self.rx.buffer {
                 *b = b.saturating_sub(drain);
             }
         }
@@ -856,15 +926,9 @@ impl NegotiatorSim {
             self.rebuild_active_list();
             return;
         }
-        if self.par_workers() > 1 {
-            self.step_accept_parallel();
-            self.step_grant_parallel(epoch);
-            self.step_request_parallel(t0);
-        } else {
-            self.step_accept();
-            self.step_grant(epoch);
-            self.step_request(t0);
-        }
+        self.accept_step();
+        self.grant_step(epoch);
+        self.request_step(t0);
         if self.opts.selective_relay {
             self.relay_request_step(epoch);
         }
@@ -896,304 +960,15 @@ impl NegotiatorSim {
         }
     }
 
-    /// ACCEPT: consume grants delivered last epoch, fix this epoch's
-    /// matching, and (stateful) revert debits of rejected grants.
-    fn step_accept(&mut self) {
-        self.active.fill(None);
-        if self.opts.selective_relay {
-            self.active_relay.fill(None);
-        }
-        let mut total_grants = 0u64;
-        let mut total_accepts = 0u64;
-        let mut grants_in = std::mem::take(&mut self.scratch.grants_in);
-        let mut grants = std::mem::take(&mut self.scratch.grants);
-        let mut accepts = std::mem::take(&mut self.scratch.accepts);
-        for src in 0..self.n {
-            grants_in.clear();
-            std::mem::swap(&mut grants_in, &mut self.inbox_grants[src]);
-            total_grants += grants_in.len() as u64;
-            grants.clear();
-            grants.extend(grants_in.iter().map(|&(g, _)| g));
-            let detector = &self.detector;
-            if matches!(self.opts.mode, SchedulerMode::Projector) {
-                // Port pre-binding means at most one grant per port: accept
-                // everything usable.
-                accepts.clear();
-                accepts.extend(
-                    grants
-                        .iter()
-                        .filter(|g| detector.usable(src, g.dst, g.port))
-                        .map(|g| Accept {
-                            dst: g.dst,
-                            port: g.port,
-                        }),
-                );
-            } else {
-                self.accept_arbs[src].accept_into(
-                    self.s,
-                    &grants,
-                    |dst, port| detector.usable(src, dst, port),
-                    &mut accepts,
-                );
-            }
-            total_accepts += accepts.len() as u64;
-            for a in &accepts {
-                self.active[src * self.s + a.port] = Some(a.dst);
-            }
-            // Stateful: revert matrix debits for grants not accepted.
-            if matches!(self.opts.mode, SchedulerMode::Stateful) {
-                for (g, debit) in &grants_in {
-                    let kept = accepts.iter().any(|a| a.dst == g.dst && a.port == g.port);
-                    if !kept && *debit > 0 {
-                        self.matrices[g.dst].revert(src, *debit);
-                    }
-                }
-            }
-        }
-        grants_in.clear();
-        self.scratch.grants_in = grants_in;
-        self.scratch.grants = grants;
-        self.scratch.accepts = accepts;
-        self.match_rec.record_epoch(total_grants, total_accepts);
-        self.stats.grants_issued += total_grants;
-        self.stats.accepts_made += total_accepts;
-
-        // Relay accepts: leftover egress ports take relay grants.
-        if self.opts.selective_relay {
-            let mut relay_grants = std::mem::take(&mut self.scratch.relay_grants);
-            for src in 0..self.n {
-                relay_grants.clear();
-                std::mem::swap(&mut relay_grants, &mut self.inbox_relay_grant[src]);
-                for &(via, port, final_dst, vol) in &relay_grants {
-                    let slot = src * self.s + port;
-                    if self.active[slot].is_none()
-                        && self.active_relay[slot].is_none()
-                        && self.detector.usable(src, via, port)
-                    {
-                        self.active_relay[slot] = Some((via, final_dst, vol));
-                    }
-                }
-            }
-            relay_grants.clear();
-            self.scratch.relay_grants = relay_grants;
-        }
-    }
-
     /// Drop every grant bucketed last epoch (touched buckets only).
     fn clear_grant_buckets(&mut self) {
         for &i in &self.grant_dirty {
-            self.grant_buckets[i as usize].clear();
+            self.out.grants[i as usize].clear();
             self.msg_flags[i as usize] &= !GRANT_FLAG;
         }
         self.grant_dirty.clear();
         if self.opts.selective_relay {
             self.port_granted.fill(false);
-        }
-    }
-
-    /// Bucket one grant from `granter` to `requester` for delivery over
-    /// their predefined connection.
-    #[inline]
-    fn push_grant(&mut self, granter: usize, requester: usize, port: usize, debit: u64) {
-        let idx = granter * self.n + requester;
-        if self.grant_buckets[idx].is_empty() {
-            self.grant_dirty.push(idx as u32);
-            self.msg_flags[idx] |= GRANT_FLAG;
-        }
-        self.grant_buckets[idx].push((port as u32, debit));
-        if self.opts.selective_relay {
-            self.port_granted[granter * self.s + port] = true;
-        }
-    }
-
-    /// GRANT: consume requests delivered last epoch and allocate ports.
-    fn step_grant(&mut self, epoch: u64) {
-        self.clear_grant_buckets();
-        let mut reqs = std::mem::take(&mut self.scratch.reqs);
-        let mut srcs = std::mem::take(&mut self.scratch.srcs);
-        let mut grant_pairs = std::mem::take(&mut self.scratch.grant_pairs);
-        let mut vals = std::mem::take(&mut self.scratch.vals);
-        let mut usable_vals = std::mem::take(&mut self.scratch.usable_vals);
-        let mut preqs = std::mem::take(&mut self.scratch.preqs);
-        for dst in 0..self.n {
-            reqs.clear();
-            std::mem::swap(&mut reqs, &mut self.inbox_requests[dst]);
-            if self.faults.greedy(dst) {
-                // Byzantine-lite misbehavior: the requests just swapped in
-                // are discarded, backpressure and debits are ignored, and
-                // every ingress port is granted round-robin.
-                for port in 0..self.s {
-                    if let Some(src) = greedy::greedy_source(&self.topo, self.n, epoch, dst, port) {
-                        self.push_grant(dst, src, port, 0);
-                    }
-                }
-                continue;
-            }
-            // §3.6.5 backpressure: a destination whose receive buffer is
-            // more than half full grants nothing this epoch.
-            if let Some(cap) = self.opts.host_buffer_bytes {
-                if self.rx_buffer[dst] > cap / 2 {
-                    continue;
-                }
-            }
-            if matches!(self.opts.mode, SchedulerMode::Stateful) {
-                for r in &reqs {
-                    self.matrices[dst].report(r.src, r.value as u64);
-                }
-            }
-            if reqs.is_empty() && !matches!(self.opts.mode, SchedulerMode::Stateful) {
-                continue;
-            }
-            match self.opts.mode {
-                SchedulerMode::Base | SchedulerMode::Iterative { .. } => {
-                    srcs.clear();
-                    srcs.extend(reqs.iter().map(|r| r.src));
-                    let detector = &self.detector;
-                    self.grant_arbs[dst].grant_into(
-                        self.s,
-                        &srcs,
-                        |src, port| detector.usable(src, dst, port),
-                        &mut grant_pairs,
-                    );
-                    for &(src, port) in &grant_pairs {
-                        self.push_grant(dst, src, port, 0);
-                    }
-                }
-                SchedulerMode::Stateful => {
-                    // Candidates: sources whose matrix entry shows pending
-                    // data (requests above already refreshed the matrix).
-                    let matrix = &self.matrices[dst];
-                    srcs.clear();
-                    srcs.extend((0..self.n).filter(|&s| matrix.has_pending(s)));
-                    if srcs.is_empty() {
-                        continue;
-                    }
-                    let detector = &self.detector;
-                    self.grant_arbs[dst].grant_into(
-                        self.s,
-                        &srcs,
-                        |src, port| detector.usable(src, dst, port),
-                        &mut grant_pairs,
-                    );
-                    let cap = self.epoch_capacity;
-                    for &(src, port) in &grant_pairs {
-                        let debit = self.matrices[dst].debit(src, cap);
-                        self.push_grant(dst, src, port, debit);
-                    }
-                }
-                SchedulerMode::DataSize | SchedulerMode::HolDelay { .. } => {
-                    // Highest-value requester first. A served pair's value
-                    // drops so ports spread across pairs: DataSize debits
-                    // one epoch of service and stops granting at zero
-                    // remaining backlog; HolDelay demotes the served pair
-                    // below every still-waiting one but keeps it eligible
-                    // for leftover ports (a deep-backlog pair may use
-                    // several ports, as the base algorithm allows).
-                    let datasize = matches!(self.opts.mode, SchedulerMode::DataSize);
-                    vals.clear();
-                    vals.extend(reqs.iter().map(|r| (r.src, r.value)));
-                    for port in 0..self.s {
-                        usable_vals.clear();
-                        usable_vals.extend(
-                            vals.iter()
-                                .copied()
-                                .filter(|&(s, v)| {
-                                    (!datasize || v > 0.0) && self.detector.usable(s, dst, port)
-                                })
-                                .filter(|&(s, _)| self.topo.port_reaches(s, port, dst)),
-                        );
-                        if let Some(src) = informative::pick_max_value(&usable_vals) {
-                            let v = vals.iter_mut().find(|(s, _)| *s == src).unwrap();
-                            v.1 = if datasize {
-                                (v.1 - self.epoch_capacity as f64).max(0.0)
-                            } else {
-                                -1.0 - v.1.abs() // strictly below fresh requests
-                            };
-                            self.push_grant(dst, src, port, 0);
-                        }
-                    }
-                }
-                SchedulerMode::Projector => {
-                    preqs.clear();
-                    preqs.extend(
-                        reqs.iter()
-                            .filter(|r| r.port != usize::MAX)
-                            .filter(|r| self.detector.usable(r.src, dst, r.port))
-                            .map(|r| projector::PortRequest {
-                                src: r.src,
-                                port: r.port,
-                                waiting: r.value,
-                            }),
-                    );
-                    let grants = projector::grant_by_waiting(self.s, &preqs);
-                    for (src, port) in grants {
-                        self.push_grant(dst, src, port, 0);
-                    }
-                }
-            }
-        }
-        reqs.clear();
-        self.scratch.reqs = reqs;
-        self.scratch.srcs = srcs;
-        self.scratch.grant_pairs = grant_pairs;
-        self.scratch.vals = vals;
-        self.scratch.usable_vals = usable_vals;
-        self.scratch.preqs = preqs;
-        if self.opts.selective_relay {
-            self.relay_grant_step();
-        }
-    }
-
-    /// REQUEST: read queues, emit this epoch's requests.
-    ///
-    /// Request presence is a bit in `msg_flags` (plus the value in
-    /// `req_out`), so only last epoch's undelivered stragglers need
-    /// clearing — no per-epoch sweep over all `n²` pairs' values. The
-    /// threshold scan reads the dense `queue_bytes` mirror, touching the
-    /// queue structs themselves only for above-threshold pairs.
-    fn step_request(&mut self, now: Nanos) {
-        for &i in &self.req_dirty {
-            self.msg_flags[i as usize] &= !REQ_FLAG;
-        }
-        self.req_dirty.clear();
-        let threshold = self.cfg.request_threshold_bytes();
-        for src in 0..self.n {
-            if matches!(self.opts.mode, SchedulerMode::Projector) {
-                let qs = &self.queues[src * self.n..(src + 1) * self.n];
-                for (dst, preq) in projector::bind_requests(&self.topo, src, qs, now) {
-                    let idx = src * self.n + dst;
-                    self.req_out[idx] = preq.waiting;
-                    self.req_port_out[idx] = preq.port;
-                    self.msg_flags[idx] |= REQ_FLAG;
-                    self.req_dirty.push(idx as u32);
-                }
-                continue;
-            }
-            for dst in 0..self.n {
-                if dst == src {
-                    continue;
-                }
-                let idx = src * self.n + dst;
-                if self.queue_bytes[idx] <= threshold {
-                    continue;
-                }
-                let value = match self.opts.mode {
-                    SchedulerMode::DataSize => self.queue_bytes[idx] as f64,
-                    SchedulerMode::HolDelay { alpha } => {
-                        informative::hol_delay_value(&self.queues[idx], now, alpha)
-                    }
-                    SchedulerMode::Stateful => {
-                        let new = self.enqueued_total[idx] - self.reported_total[idx];
-                        self.reported_total[idx] = self.enqueued_total[idx];
-                        new as f64
-                    }
-                    _ => 0.0,
-                };
-                self.req_out[idx] = value;
-                self.msg_flags[idx] |= REQ_FLAG;
-                self.req_dirty.push(idx as u32);
-                self.stats.requests_sent += 1;
-            }
         }
     }
 
@@ -1248,7 +1023,7 @@ impl NegotiatorSim {
 
     fn relay_request_step(&mut self, epoch: u64) {
         for &i in &self.relay_req_dirty {
-            self.relay_req_buckets[i as usize].clear();
+            self.out.relay_req[i as usize].clear();
             self.msg_flags[i as usize] &= !RELAY_REQ_FLAG;
         }
         self.relay_req_dirty.clear();
@@ -1276,11 +1051,11 @@ impl NegotiatorSim {
                         continue;
                     }
                     let idx = src * self.n + via;
-                    if self.relay_req_buckets[idx].is_empty() {
+                    if self.out.relay_req[idx].is_empty() {
                         self.relay_req_dirty.push(idx as u32);
                         self.msg_flags[idx] |= RELAY_REQ_FLAG;
                     }
-                    self.relay_req_buckets[idx].push(RelayRequest {
+                    self.out.relay_req[idx].push(RelayRequest {
                         src,
                         via,
                         final_dst: dst,
@@ -1299,14 +1074,14 @@ impl NegotiatorSim {
     /// the same per-epoch map.
     fn relay_grant_step(&mut self) {
         for &i in &self.relay_grant_dirty {
-            self.relay_grant_buckets[i as usize].clear();
+            self.out.relay_grant[i as usize].clear();
             self.msg_flags[i as usize] &= !RELAY_GRANT_FLAG;
         }
         self.relay_grant_dirty.clear();
         let mut reqs = std::mem::take(&mut self.scratch.relay_reqs);
         for via in 0..self.n {
             reqs.clear();
-            std::mem::swap(&mut reqs, &mut self.inbox_relay_req[via]);
+            std::mem::swap(&mut reqs, &mut self.inbox.relay_req[via]);
             if reqs.is_empty() {
                 continue;
             }
@@ -1335,11 +1110,11 @@ impl NegotiatorSim {
                 space -= vol;
                 self.port_granted[via * self.s + p] = true;
                 let idx = via * self.n + r.src;
-                if self.relay_grant_buckets[idx].is_empty() {
+                if self.out.relay_grant[idx].is_empty() {
                     self.relay_grant_dirty.push(idx as u32);
                     self.msg_flags[idx] |= RELAY_GRANT_FLAG;
                 }
-                self.relay_grant_buckets[idx].push((p as u32, r.final_dst as u32, vol));
+                self.out.relay_grant[idx].push((p as u32, r.final_dst as u32, vol));
             }
         }
         reqs.clear();
@@ -1368,13 +1143,6 @@ impl NegotiatorSim {
         tracker: &mut FlowTracker,
     ) -> usize {
         let rot = self.rotation(epoch);
-        let prop = self.cfg.net.propagation_delay;
-        let piggyback = self.cfg.piggyback;
-        // The cached schedule lists each slot's connections in the same
-        // (src, port) order the old triple loop visited; take the cache so
-        // the loop body can borrow `self` mutably.
-        let cache = std::mem::take(&mut self.pre_cache);
-
         // Healthy-fabric fast path: with zero ground failures (including
         // partitions), a quiescent detector and no active gray failure,
         // every connection is up and usable, and a round of all-success
@@ -1386,40 +1154,16 @@ impl NegotiatorSim {
         // per-connection and the detector has to see the misses.
         if self.failures.healthy() && self.detector.is_quiescent() && !self.faults.gray_active() {
             self.observe_pending = false;
-            if self.par_workers() > 1 {
-                cursor = self.predefined_healthy_parallel(flows, cursor, &cache, rot, t0, tracker);
-                self.pre_cache = cache;
-                return cursor;
-            }
-            for slot in 0..self.pre_slots {
-                let slot_start = t0 + slot as Nanos * self.pre_slot_len;
-                cursor = self.inject(flows, cursor, slot_start);
-                let arrive = slot_start + self.pre_slot_len + prop;
-                for conn in cache.slot_conns(rot, slot) {
-                    let (src, dst) = (conn.src as usize, conn.dst as usize);
-                    let idx = src * self.n + dst;
-                    if self.msg_flags[idx] != 0 {
-                        self.deliver_messages(src, dst);
-                    }
-                    if piggyback && self.queue_bytes[idx] > 0 {
-                        let pkt = self.queues[idx]
-                            .dequeue_packet(self.pb_payload)
-                            .expect("non-zero mirror implies a packet");
-                        self.note_dequeue(src, dst, pkt.bytes);
-                        if pkt.relayed {
-                            self.relay_buffers[src].release(pkt.bytes);
-                        }
-                        self.stats.piggyback_packets += 1;
-                        self.stats.piggyback_bytes += pkt.bytes;
-                        self.deliver_data(dst, pkt.flow, pkt.bytes, arrive, tracker);
-                    }
-                }
-            }
-            self.pre_cache = cache;
-            return cursor;
+            return self.predefined_healthy(flows, cursor, rot, t0, tracker);
         }
 
         self.observe_pending = true;
+        let prop = self.cfg.net.propagation_delay;
+        let piggyback = self.cfg.piggyback;
+        // The cached schedule lists each slot's connections in the same
+        // (src, port) order the old triple loop visited; take the cache so
+        // the loop body can borrow `self` mutably.
+        let cache = std::mem::take(&mut self.pre_cache);
         self.egress_attempted.fill(false);
         self.egress_ok.fill(false);
         self.ingress_attempted.fill(false);
@@ -1443,8 +1187,11 @@ impl NegotiatorSim {
                 if up && !gray {
                     self.egress_ok[src * self.s + port] = true;
                     self.ingress_ok[dst * self.s + port] = true;
-                    if self.msg_flags[src * self.n + dst] != 0 {
-                        self.deliver_messages(src, dst);
+                    let idx = src * self.n + dst;
+                    let flags = self.msg_flags[idx];
+                    if flags != 0 {
+                        self.inbox.deliver(&self.out, self.n, src, dst, flags);
+                        self.msg_flags[idx] &= !REQ_FLAG; // a request is delivered once
                     }
                 } else if gray {
                     self.stats.control_dropped += self.control_msg_count(src, dst) + 1;
@@ -1462,7 +1209,7 @@ impl NegotiatorSim {
                         if up {
                             self.stats.piggyback_packets += 1;
                             self.stats.piggyback_bytes += pkt.bytes;
-                            self.deliver_data(dst, pkt.flow, pkt.bytes, arrive, tracker);
+                            self.rx.deliver(tracker, dst, pkt.flow, pkt.bytes, arrive);
                         } else {
                             // A ground-truth-down link loses the packet;
                             // recovery is an upper-layer (TCP) concern.
@@ -1488,54 +1235,15 @@ impl NegotiatorSim {
             count += 1;
         }
         if flags & GRANT_FLAG != 0 {
-            count += self.grant_buckets[idx].len() as u64;
+            count += self.out.grants[idx].len() as u64;
         }
         if flags & RELAY_REQ_FLAG != 0 {
-            count += self.relay_req_buckets[idx].len() as u64;
+            count += self.out.relay_req[idx].len() as u64;
         }
         if flags & RELAY_GRANT_FLAG != 0 {
-            count += self.relay_grant_buckets[idx].len() as u64;
+            count += self.out.relay_grant[idx].len() as u64;
         }
         count
-    }
-
-    /// Move this epoch's outgoing scheduling messages across one predefined
-    /// connection `src → dst`: an O(messages) indexed delivery — the
-    /// request slot plus this pair's grant/relay buckets, no scanning.
-    /// Callers gate on `msg_flags[idx] != 0`.
-    fn deliver_messages(&mut self, src: usize, dst: usize) {
-        let idx = src * self.n + dst;
-        let flags = self.msg_flags[idx];
-        if flags & REQ_FLAG != 0 {
-            self.inbox_requests[dst].push(ReqIn {
-                src,
-                value: self.req_out[idx],
-                port: self.req_port_out[idx],
-            });
-            self.msg_flags[idx] &= !REQ_FLAG; // delivered once
-        }
-        // Grants computed by `src` for requester `dst` ride this connection.
-        if flags & GRANT_FLAG != 0 {
-            for &(port, debit) in &self.grant_buckets[idx] {
-                self.inbox_grants[dst].push((
-                    Grant {
-                        dst: src,
-                        port: port as usize,
-                    },
-                    debit,
-                ));
-            }
-        }
-        if flags & RELAY_REQ_FLAG != 0 {
-            for r in &self.relay_req_buckets[idx] {
-                self.inbox_relay_req[dst].push(*r);
-            }
-        }
-        if flags & RELAY_GRANT_FLAG != 0 {
-            for &(port, final_dst, vol) in &self.relay_grant_buckets[idx] {
-                self.inbox_relay_grant[dst].push((src, port as usize, final_dst as usize, vol));
-            }
-        }
     }
 
     fn scheduled_phase(
@@ -1561,18 +1269,14 @@ impl NegotiatorSim {
         // whole phase in one batch. This is bit-exact, not approximate:
         // without relays a flow lives in exactly one queue, each queue's
         // dequeue sequence is preserved (single server batches; multi-port
-        // servers of one queue replay slot order below), and the tracker /
+        // servers of one queue replay slot order), and the tracker /
         // bandwidth series accumulate order-insensitively across queues.
         let quiet = cursor >= flows.len()
             || flows[cursor].arrival > sched_start + (k_slots as Nanos - 1) * slot_len;
         if quiet && !self.opts.selective_relay {
             self.stats.unmatched_slots +=
                 (total_slots - self.active_list.len() as u64) * k_slots as u64;
-            if self.par_workers() > 1 {
-                self.scheduled_batched_parallel(sched_start, tracker);
-            } else {
-                self.scheduled_phase_batched(sched_start, tracker);
-            }
+            self.scheduled_batched(sched_start, tracker);
             return cursor;
         }
 
@@ -1642,98 +1346,12 @@ impl NegotiatorSim {
             if self.failures.link_up(src, dst, port) {
                 self.stats.scheduled_packets += 1;
                 self.stats.scheduled_bytes += pkt.bytes;
-                self.deliver_data(dst, pkt.flow, pkt.bytes, arrive, tracker);
+                self.rx.deliver(tracker, dst, pkt.flow, pkt.bytes, arrive);
             } else {
                 self.stats.lost_packets += 1;
             }
         } else {
             self.stats.overscheduled_slots += 1;
-        }
-    }
-
-    /// Entry-major scheduled phase: each matched port pulls its whole
-    /// phase's packets in one batch dequeue. Ports of one source serving
-    /// the *same* destination queue replay exact slot order instead (their
-    /// interleaving determines which packet each port carries).
-    fn scheduled_phase_batched(&mut self, sched_start: Nanos, tracker: &mut FlowTracker) {
-        let prop = self.cfg.net.propagation_delay;
-        let slot_len = self.cfg.epoch.scheduled_slot;
-        let k_slots = self.cfg.epoch.scheduled_slots;
-        let list = std::mem::take(&mut self.active_list);
-        let mut packets = std::mem::take(&mut self.scratch.packets);
-        let mut i = 0;
-        while i < list.len() {
-            // One source's run of entries (same src ⇒ contiguous, ≤ s long).
-            let src = list[i].slot as usize / self.s;
-            let mut run_end = i + 1;
-            while run_end < list.len() && list[run_end].slot as usize / self.s == src {
-                run_end += 1;
-            }
-            let run = &list[i..run_end];
-            let shared_queue = run
-                .iter()
-                .enumerate()
-                .any(|(a, e)| run[..a].iter().any(|f| f.dst == e.dst));
-            if shared_queue {
-                // Rare: one queue feeds several ports; replay slot order.
-                for k in 0..k_slots {
-                    let arrive = sched_start + (k as Nanos + 1) * slot_len + prop;
-                    for e in run {
-                        let port = e.slot as usize % self.s;
-                        self.serve_direct_slot(src, port, e.dst as usize, arrive, tracker);
-                    }
-                }
-            } else {
-                for e in run {
-                    let (port, dst) = (e.slot as usize % self.s, e.dst as usize);
-                    packets.clear();
-                    self.queues[src * self.n + dst].dequeue_packets_into(
-                        self.sched_payload,
-                        k_slots,
-                        &mut packets,
-                    );
-                    let drained: u64 = packets.iter().map(|p| p.bytes).sum();
-                    self.note_dequeue(src, dst, drained);
-                    self.stats.overscheduled_slots += (k_slots - packets.len()) as u64;
-                    let up = self.failures.link_up(src, dst, port);
-                    for (k, pkt) in packets.iter().enumerate() {
-                        if pkt.relayed {
-                            self.relay_buffers[src].release(pkt.bytes);
-                        }
-                        if up {
-                            self.stats.scheduled_packets += 1;
-                            self.stats.scheduled_bytes += pkt.bytes;
-                            let arrive = sched_start + (k as Nanos + 1) * slot_len + prop;
-                            self.deliver_data(dst, pkt.flow, pkt.bytes, arrive, tracker);
-                        } else {
-                            self.stats.lost_packets += 1;
-                        }
-                    }
-                }
-            }
-            i = run_end;
-        }
-        self.scratch.packets = packets;
-        self.active_list = list;
-    }
-
-    fn deliver_data(
-        &mut self,
-        dst: usize,
-        flow: u64,
-        bytes: u64,
-        at: Nanos,
-        tracker: &mut FlowTracker,
-    ) {
-        if let Some(b) = self.rx_buffer.get_mut(dst) {
-            *b += bytes;
-        }
-        tracker.deliver(flow, bytes, at);
-        if let Some(series) = self.rx_series.get_mut(dst) {
-            series.record(at, bytes);
-        }
-        if let Some(total) = self.total_rx.as_mut() {
-            total.record(at, bytes);
         }
     }
 

@@ -1,929 +1,1041 @@
-//! Intra-run parallel epoch phases: contiguous ToR shards, sequential
-//! event-replay merges, byte-identical output at any worker count.
+//! The sharded epoch phases: one implementation per phase, run over
+//! contiguous ToR shards, byte-identical output at any worker count.
 //!
 //! # The determinism argument
 //!
-//! Every parallel section below follows one recipe:
+//! Every phase below follows one recipe:
 //!
 //! 1. **Ownership by row.** ToRs are partitioned into contiguous shards
-//!    ([`sim::shard::partition`]). Each shard receives disjoint `&mut`
-//!    windows of the row-major state it owns ([`sim::shard::split_rows`]):
-//!    REQUEST and ACCEPT shard by *source* row, GRANT by *granter* row.
-//!    The type system — not a convention — rules out cross-shard writes.
-//! 2. **Events for everything else.** Writes that land on another ToR's
-//!    state (inbox pushes, stateful matrix reverts, flow-tracker
-//!    deliveries) are not performed by the shard; the shard appends an
-//!    [`Event`] to its lane instead, in exactly the order the sequential
-//!    loop would have performed the write.
-//! 3. **Ordered replay.** After the fork/join, the merge replays lane
-//!    events on the caller's thread in *sequential visit order*: shard
-//!    concatenation where the sequential loop is row-major (rows ascend
-//!    across shards), slot-major interleaving where it is slot-major
-//!    (the predefined phase tags events with their slot). The replayed
-//!    write sequence is therefore *identical* to the sequential one —
-//!    no commutativity assumptions, no floating-point reassociation.
+//!    ([`sim::shard::partition`]); `--workers 1` and selective relay get
+//!    a single shard. Each shard receives disjoint `&mut` windows of the
+//!    row-major state it owns ([`sim::shard::split_rows`]): REQUEST,
+//!    ACCEPT and the two data phases shard by *source* row, GRANT by
+//!    *granter* row. The type system — not a convention — rules out
+//!    cross-shard writes.
+//! 2. **A sink for everything else.** Writes that land on another ToR's
+//!    state (inbox pushes, stateful matrix reverts, data deliveries),
+//!    the phase's dirty indices and its counters go to a [`Sink`], in
+//!    the body's visit order. With one shard the sink is [`Direct`]: it
+//!    performs each write in place, so nothing is buffered, copied or
+//!    replayed. With k shards each shard writes to its own [`Lane`],
+//!    which records [`Event`]s.
+//! 3. **Ordered replay.** After the fork/join, the lanes replay through
+//!    the same `Direct` sink on the caller's thread, in the one-shard
+//!    visit order: shard concatenation where the body is row-major (rows
+//!    ascend across shards), slot-major interleaving where it is
+//!    slot-major (the predefined phase tags events with their slot). The
+//!    write sequence is therefore *identical* at any shard count — no
+//!    commutativity assumptions, no floating-point reassociation.
 //!
 //! Worker count moves shard boundaries, never row order, so any
 //! `--workers` value produces the same bytes; `tests/determinism.rs`
-//! and the CI `determinism-matrix` job hold the engine to it, and the
-//! golden-report gate pins the sequential path the parallel one must
-//! match.
+//! and the CI `determinism-matrix` job hold the engine to it, and
+//! `tests/golden_report.rs` pins the bytes themselves.
 //!
-//! # What stays sequential, and why
+//! # What does not shard, and why
 //!
-//! * **Selective relay** (`par_workers() == 1`): relay grant admission
-//!   reads `port_granted`/buffer claims written by lower-numbered ToRs
-//!   in the same step — the visit order is semantic.
+//! * **Selective relay** runs these phases on one shard, and its relay
+//!   REQUEST/GRANT steps (`relay_request_step`, `relay_grant_step`) are
+//!   whole-fabric loops: relay grant admission reads `port_granted`/
+//!   buffer claims written by lower-numbered ToRs in the same step — the
+//!   visit order is semantic.
 //! * **Iterative mode's epoch start**: `IterativeMatcher` is a global
 //!   fixed point over all ToRs, not per-ToR work.
-//! * **Failure-path phases**: observation arrays are cheap but
-//!   cross-indexed; failure epochs are rare by construction.
+//! * **The failure/gray predefined loop and the general scheduled
+//!   path** (flows arriving mid-phase, relay transmissions): observation
+//!   arrays are cross-indexed and relay transmissions enqueue at another
+//!   ToR; both are rare by construction.
 //! * **`rebuild_active_list` and the flag-clearing prologues**: memset-
 //!   class scans that cost less than a fork/join.
 
 use super::*;
 use sim::shard::{self, Shard};
 
-/// Per-shard lane: scratch buffers, merge queues and counters. Retained
-/// across epochs so the steady-state parallel path allocates nothing
-/// once lane capacities have warmed up.
-#[derive(Debug, Default)]
-pub(super) struct Lane {
-    scratch: SimScratch,
-    /// `req_dirty`/`grant_dirty` contributions, concatenated in shard
-    /// order by the merge (= row-ascending = sequential order).
-    dirty: Vec<u32>,
-    /// Stateful-mode `(granter, src, debit)` matrix reverts, replayed in
-    /// shard order after ACCEPT.
-    reverts: Vec<(u32, u32, u64)>,
-    /// Cross-ToR writes of the phase bodies, replayed by the merge.
-    events: Vec<Event>,
-    // Per-section counters, summed into `SchedStats` by the merge.
-    grants: u64,
-    accepts: u64,
-    requests: u64,
-    pb_packets: u64,
-    pb_bytes: u64,
-    sched_packets: u64,
-    sched_bytes: u64,
-    lost: u64,
-    oversched: u64,
-}
-
-impl Lane {
-    fn reset(&mut self) {
-        self.dirty.clear();
-        self.reverts.clear();
-        self.events.clear();
-        self.grants = 0;
-        self.accepts = 0;
-        self.requests = 0;
-        self.pb_packets = 0;
-        self.pb_bytes = 0;
-        self.sched_packets = 0;
-        self.sched_bytes = 0;
-        self.lost = 0;
-        self.oversched = 0;
-    }
-}
-
-/// A cross-ToR write recorded by a shard for the ordered replay. `slot`
-/// is the predefined timeslot (predefined phase) or the scheduled slot
-/// index `k` (scheduled phase); the replay derives arrival times from it.
+/// A write a phase body makes outside its own rows. `slot` is the
+/// predefined timeslot (predefined phase) or the scheduled slot index
+/// `k` (scheduled phase); data arrival times derive from it. ToR fields
+/// are 32-bit to keep lanes compact (fabrics are ≤ `u32` ToRs).
 #[derive(Debug, Clone, Copy)]
-enum Event {
-    /// A REQUEST landing in `inbox_requests[dst]`.
-    Req {
+pub(super) enum Event {
+    /// The scheduling messages `flags` marks on connection `src → dst`
+    /// (see `Inboxes::deliver`).
+    Msg {
         slot: u32,
-        dst: u32,
         src: u32,
-        value: f64,
-        port: u32,
-    },
-    /// One grant-bucket entry landing in `inbox_grants[dst]`.
-    Grant {
-        slot: u32,
         dst: u32,
-        granter: u32,
-        port: u32,
-        debit: u64,
+        flags: u8,
     },
-    /// A data packet delivered to `dst` (tracker + series + rx buffer).
+    /// A data packet delivered to `dst` (tracker + receive side).
     Data {
         slot: u32,
         dst: u32,
         flow: u64,
         bytes: u64,
     },
+    /// A stateful debit of a rejected grant, returned to the granter's
+    /// demand matrix.
+    Revert { granter: u32, src: u32, debit: u64 },
 }
 
 impl Event {
     fn slot(&self) -> u32 {
         match *self {
-            Event::Req { slot, .. } | Event::Grant { slot, .. } | Event::Data { slot, .. } => slot,
+            Event::Msg { slot, .. } | Event::Data { slot, .. } => slot,
+            Event::Revert { .. } => 0,
         }
     }
 }
 
-/// Projector port bindings use `usize::MAX` as "unbound"; events store
-/// ports in 32 bits (fabrics are ≤ `u32` ToRs × ports).
-fn port_to_u32(p: usize) -> u32 {
-    if p == usize::MAX {
-        u32::MAX
-    } else {
-        p as u32
+/// Where a phase body sends what lies outside its own rows.
+pub(super) trait Sink {
+    /// A cross-ToR write, in the body's visit order.
+    fn push(&mut self, ev: Event);
+    /// A pair index whose outbox the phase just filled: the phase's
+    /// `req_dirty`/`grant_dirty` entry.
+    fn dirty(&mut self, idx: usize);
+    /// The phase's counters.
+    fn stats(&mut self) -> &mut SchedStats;
+}
+
+/// The one-shard sink: performs each write in place, at once. The
+/// k-shard lanes replay through it too, so every write has one
+/// implementation. A phase hands it only the targets it writes; the
+/// rest stay empty.
+pub(super) struct Direct<'a> {
+    stats: &'a mut SchedStats,
+    dirty: Option<&'a mut Vec<u32>>,
+    matrices: &'a mut [DemandMatrix],
+    /// Message deliveries: inboxes, outboxes, fabric size.
+    msgs: Option<(&'a mut Inboxes, &'a Outboxes, usize)>,
+    /// Data deliveries: receive side, tracker, arrival time of a slot-0
+    /// packet, slot length.
+    rx: Option<(&'a mut Receivers, &'a mut FlowTracker, Nanos, Nanos)>,
+}
+
+impl<'a> Direct<'a> {
+    /// A sink that only counts; phases add the targets they write.
+    fn new(stats: &'a mut SchedStats) -> Self {
+        Direct {
+            stats,
+            dirty: None,
+            matrices: &mut [],
+            msgs: None,
+            rx: None,
+        }
     }
 }
 
-fn port_from_u32(p: u32) -> usize {
-    if p == u32::MAX {
-        usize::MAX
-    } else {
-        p as usize
+impl Sink for Direct<'_> {
+    // lint: hot-path
+    #[inline]
+    fn push(&mut self, ev: Event) {
+        match ev {
+            Event::Msg {
+                src, dst, flags, ..
+            } => {
+                let (inbox, out, n) = self.msgs.as_mut().expect("phase delivers no messages");
+                inbox.deliver(out, *n, src as usize, dst as usize, flags);
+            }
+            Event::Data {
+                slot,
+                dst,
+                flow,
+                bytes,
+            } => {
+                let (rx, tracker, first, slot_len) =
+                    self.rx.as_mut().expect("phase delivers no data");
+                let at = *first + slot as Nanos * *slot_len;
+                rx.deliver(tracker, dst as usize, flow, bytes, at);
+            }
+            Event::Revert {
+                granter,
+                src,
+                debit,
+            } => self.matrices[granter as usize].revert(src as usize, debit),
+        }
+    }
+
+    #[inline]
+    fn dirty(&mut self, idx: usize) {
+        let dirty = self.dirty.as_mut().expect("phase keeps no dirty list");
+        dirty.push(idx as u32);
+    }
+
+    fn stats(&mut self) -> &mut SchedStats {
+        self.stats
     }
 }
 
-/// Retained parallel-path state hanging off the sim (empty when the run
-/// is sequential).
+/// A k-shard sink: records one shard's writes for the ordered replay.
+/// Retained across epochs, so the steady-state sharded path allocates
+/// nothing once capacities have warmed up.
+#[derive(Debug, Default)]
+pub(super) struct Lane {
+    /// Dirty indices, concatenated in shard order by the merge
+    /// (= row-ascending = one-shard order).
+    dirty: Vec<u32>,
+    events: Vec<Event>,
+    stats: SchedStats,
+}
+
+impl Sink for Lane {
+    fn push(&mut self, ev: Event) {
+        self.events.push(ev);
+    }
+
+    fn dirty(&mut self, idx: usize) {
+        self.dirty.push(idx as u32);
+    }
+
+    fn stats(&mut self) -> &mut SchedStats {
+        &mut self.stats
+    }
+}
+
+/// A phase body over one shard's rows.
+trait Body: Send {
+    fn run<S: Sink>(self, scratch: &mut SimScratch, sink: &mut S);
+}
+
+/// The order lane events replay in: shard concatenation, or slot-major
+/// over this many slots.
+#[derive(Clone, Copy)]
+enum Replay {
+    Concat,
+    SlotMajor(usize),
+}
+
+/// Retained k-shard state (untouched by one-shard runs).
 #[derive(Debug, Default)]
 pub(super) struct ParState {
-    lanes: Vec<Lane>,
+    /// Scratch buffers and lane of each shard.
+    lanes: Vec<(SimScratch, Lane)>,
     /// Per-lane replay cursors (slot-major merges).
     ptrs: Vec<usize>,
     /// Scheduled-phase chunk starts into `active_list`.
     cuts: Vec<usize>,
 }
 
-/// Take `k` lanes out of the sim (so shard closures can own them while
-/// `self` is re-borrowed for the merge), growing the pool on first use.
-fn take_lanes(par: &mut ParState, k: usize) -> Vec<Lane> {
-    let mut lanes = std::mem::take(&mut par.lanes);
-    if lanes.len() < k {
-        lanes.resize_with(k, Lane::default);
+impl ParState {
+    /// Run one phase body per shard context. One shard runs inline and
+    /// writes through `direct`; k shards run on scoped threads into
+    /// lanes, which then replay through `direct` in `replay` order.
+    fn run<B: Body>(
+        &mut self,
+        ctxs: Vec<B>,
+        scratch: &mut SimScratch,
+        direct: &mut Direct,
+        replay: Replay,
+    ) {
+        let k = ctxs.len();
+        if k <= 1 {
+            for ctx in ctxs {
+                ctx.run(scratch, direct);
+            }
+            return;
+        }
+        if self.lanes.len() < k {
+            self.lanes.resize_with(k, Default::default);
+        }
+        let lanes = &mut self.lanes[..k];
+        for (_, lane) in lanes.iter_mut() {
+            lane.dirty.clear();
+            lane.events.clear();
+            lane.stats = SchedStats::default();
+        }
+        let work = ctxs.into_iter().zip(lanes.iter_mut()).collect();
+        shard::map_shards(work, |_, (ctx, (scratch, lane))| ctx.run(scratch, lane));
+        let lanes = &self.lanes[..k];
+        for (_, lane) in lanes {
+            if let Some(dirty) = direct.dirty.as_mut() {
+                dirty.extend_from_slice(&lane.dirty);
+            }
+            *direct.stats += lane.stats;
+        }
+        match replay {
+            Replay::Concat => {
+                for (_, lane) in lanes {
+                    for &ev in &lane.events {
+                        direct.push(ev);
+                    }
+                }
+            }
+            // All lanes' slot-`k` events (lanes in shard order, each
+            // lane's in emission order) before any slot-`k+1` event.
+            // Per-lane streams are slot-sorted by construction, so one
+            // cursor per lane suffices.
+            Replay::SlotMajor(slots) => {
+                let ptrs = &mut self.ptrs;
+                ptrs.clear();
+                ptrs.resize(k, 0);
+                for slot in 0..slots as u32 {
+                    for ((_, lane), ptr) in lanes.iter().zip(ptrs.iter_mut()) {
+                        while let Some(&ev) = lane.events.get(*ptr) {
+                            if ev.slot() != slot {
+                                break;
+                            }
+                            *ptr += 1;
+                            direct.push(ev);
+                        }
+                    }
+                }
+                debug_assert!(
+                    lanes
+                        .iter()
+                        .zip(ptrs.iter())
+                        .all(|((_, lane), &p)| p == lane.events.len()),
+                    "every event must replay exactly once"
+                );
+            }
+        }
     }
-    for lane in &mut lanes {
-        lane.reset();
-    }
-    lanes
 }
 
-// Shard-side borrow bundles. One struct per section keeps the closure a
-// single argument and documents exactly which rows a shard may touch.
+/// The per-shard `&mut` windows of one row-major array
+/// ([`shard::split_rows`]), handed out in shard order while the phase
+/// builds one context per shard. Row width 0 hands out empty windows of
+/// variant-only state this run does not allocate.
+struct Rows<'a, T>(std::vec::IntoIter<&'a mut [T]>);
+
+impl<'a, T> Rows<'a, T> {
+    fn new(v: &'a mut [T], row_len: usize, shards: &[Shard]) -> Self {
+        Rows(shard::split_rows(v, row_len, shards).into_iter())
+    }
+
+    fn window(&mut self) -> &'a mut [T] {
+        self.0
+            .next()
+            .expect("split_rows yields one window per shard")
+    }
+}
+
+// Shard contexts: one struct per phase, holding exactly the rows a shard
+// may write and the shared state it reads.
 
 struct AcceptCtx<'a> {
     shard: Shard,
+    s: usize,
+    opts: &'a SimOptions,
+    detector: &'a FaultDetector,
     inbox_grants: &'a mut [Vec<(Grant, u64)>],
+    inbox_relay_grant: &'a mut [Vec<(usize, usize, usize, u64)>],
     accept_arbs: &'a mut [AcceptArbiter],
     active: &'a mut [Option<usize>],
-    lane: &'a mut Lane,
+    active_relay: &'a mut [Option<(usize, usize, u64)>],
+}
+
+impl Body for AcceptCtx<'_> {
+    fn run<S: Sink>(self, sc: &mut SimScratch, sink: &mut S) {
+        let (s, detector) = (self.s, self.detector);
+        for src in self.shard.start..self.shard.end {
+            let row = src - self.shard.start;
+            sc.grants_in.clear();
+            std::mem::swap(&mut sc.grants_in, &mut self.inbox_grants[row]);
+            sink.stats().grants_issued += sc.grants_in.len() as u64;
+            sc.grants.clear();
+            sc.grants.extend(sc.grants_in.iter().map(|&(g, _)| g));
+            if matches!(self.opts.mode, SchedulerMode::Projector) {
+                // Port pre-binding means at most one grant per port:
+                // accept everything usable.
+                sc.accepts.clear();
+                sc.accepts.extend(
+                    sc.grants
+                        .iter()
+                        .filter(|g| detector.usable(src, g.dst, g.port))
+                        .map(|g| Accept {
+                            dst: g.dst,
+                            port: g.port,
+                        }),
+                );
+            } else {
+                self.accept_arbs[row].accept_into(
+                    s,
+                    &sc.grants,
+                    |dst, port| detector.usable(src, dst, port),
+                    &mut sc.accepts,
+                );
+            }
+            sink.stats().accepts_made += sc.accepts.len() as u64;
+            for a in &sc.accepts {
+                self.active[row * s + a.port] = Some(a.dst);
+            }
+            // Stateful: revert matrix debits for grants not accepted.
+            if matches!(self.opts.mode, SchedulerMode::Stateful) {
+                for &(g, debit) in &sc.grants_in {
+                    let kept = sc
+                        .accepts
+                        .iter()
+                        .any(|a| a.dst == g.dst && a.port == g.port);
+                    if !kept && debit > 0 {
+                        sink.push(Event::Revert {
+                            granter: g.dst as u32,
+                            src: src as u32,
+                            debit,
+                        });
+                    }
+                }
+            }
+            // Relay accepts: leftover egress ports take relay grants.
+            if self.opts.selective_relay {
+                sc.relay_grants.clear();
+                std::mem::swap(&mut sc.relay_grants, &mut self.inbox_relay_grant[row]);
+                for &(via, port, final_dst, vol) in &sc.relay_grants {
+                    let slot = row * s + port;
+                    if self.active[slot].is_none()
+                        && self.active_relay[slot].is_none()
+                        && detector.usable(src, via, port)
+                    {
+                        self.active_relay[slot] = Some((via, final_dst, vol));
+                    }
+                }
+            }
+        }
+    }
 }
 
 struct GrantCtx<'a> {
     shard: Shard,
+    n: usize,
+    s: usize,
+    epoch: u64,
+    epoch_capacity: u64,
+    opts: &'a SimOptions,
+    detector: &'a FaultDetector,
+    topo: &'a AnyTopology,
+    faults: &'a FaultModel,
+    rx_buffer: &'a [u64],
     inbox_requests: &'a mut [Vec<ReqIn>],
     grant_arbs: &'a mut [GrantArbiter],
     matrices: &'a mut [DemandMatrix],
     grant_buckets: &'a mut [Vec<(u32, u64)>],
     msg_flags: &'a mut [u8],
-    lane: &'a mut Lane,
+    port_granted: &'a mut [bool],
+}
+
+impl GrantCtx<'_> {
+    /// Bucket one grant from `granter` to `requester` for delivery over
+    /// their predefined connection.
+    #[inline]
+    fn push_grant(
+        &mut self,
+        sink: &mut impl Sink,
+        granter: usize,
+        requester: usize,
+        port: usize,
+        debit: u64,
+    ) {
+        let row = granter - self.shard.start;
+        let local = row * self.n + requester;
+        if self.grant_buckets[local].is_empty() {
+            sink.dirty(granter * self.n + requester);
+            self.msg_flags[local] |= GRANT_FLAG;
+        }
+        self.grant_buckets[local].push((port as u32, debit));
+        if self.opts.selective_relay {
+            self.port_granted[row * self.s + port] = true;
+        }
+    }
+}
+
+impl Body for GrantCtx<'_> {
+    fn run<S: Sink>(mut self, sc: &mut SimScratch, sink: &mut S) {
+        let (n, s, mode) = (self.n, self.s, self.opts.mode);
+        let (detector, topo) = (self.detector, self.topo);
+        let stateful = matches!(mode, SchedulerMode::Stateful);
+        for dst in self.shard.start..self.shard.end {
+            let row = dst - self.shard.start;
+            sc.reqs.clear();
+            std::mem::swap(&mut sc.reqs, &mut self.inbox_requests[row]);
+            if self.faults.greedy(dst) {
+                // Byzantine-lite misbehavior: the requests just swapped in
+                // are discarded, backpressure and debits are ignored, and
+                // every ingress port is granted round-robin.
+                for port in 0..s {
+                    if let Some(src) = greedy::greedy_source(topo, n, self.epoch, dst, port) {
+                        self.push_grant(sink, dst, src, port, 0);
+                    }
+                }
+                continue;
+            }
+            // §3.6.5 backpressure: a destination whose receive buffer is
+            // more than half full grants nothing this epoch.
+            if let Some(cap) = self.opts.host_buffer_bytes {
+                if self.rx_buffer[dst] > cap / 2 {
+                    continue;
+                }
+            }
+            if stateful {
+                for r in &sc.reqs {
+                    self.matrices[row].report(r.src, r.value as u64);
+                }
+            }
+            if sc.reqs.is_empty() && !stateful {
+                continue;
+            }
+            match mode {
+                SchedulerMode::Base | SchedulerMode::Iterative { .. } => {
+                    sc.srcs.clear();
+                    sc.srcs.extend(sc.reqs.iter().map(|r| r.src));
+                    self.grant_arbs[row].grant_into(
+                        s,
+                        &sc.srcs,
+                        |src, port| detector.usable(src, dst, port),
+                        &mut sc.grant_pairs,
+                    );
+                    for &(src, port) in &sc.grant_pairs {
+                        self.push_grant(sink, dst, src, port, 0);
+                    }
+                }
+                SchedulerMode::Stateful => {
+                    // Candidates: sources whose matrix entry shows pending
+                    // data (requests above already refreshed the matrix).
+                    let matrix = &self.matrices[row];
+                    sc.srcs.clear();
+                    sc.srcs
+                        .extend((0..n).filter(|&src| matrix.has_pending(src)));
+                    if sc.srcs.is_empty() {
+                        continue;
+                    }
+                    self.grant_arbs[row].grant_into(
+                        s,
+                        &sc.srcs,
+                        |src, port| detector.usable(src, dst, port),
+                        &mut sc.grant_pairs,
+                    );
+                    for &(src, port) in &sc.grant_pairs {
+                        let debit = self.matrices[row].debit(src, self.epoch_capacity);
+                        self.push_grant(sink, dst, src, port, debit);
+                    }
+                }
+                SchedulerMode::DataSize | SchedulerMode::HolDelay { .. } => {
+                    // Highest-value requester first. A served pair's value
+                    // drops so ports spread across pairs: DataSize debits
+                    // one epoch of service and stops granting at zero
+                    // remaining backlog; HolDelay demotes the served pair
+                    // below every still-waiting one but keeps it eligible
+                    // for leftover ports (a deep-backlog pair may use
+                    // several ports, as the base algorithm allows).
+                    let datasize = matches!(mode, SchedulerMode::DataSize);
+                    sc.vals.clear();
+                    sc.vals.extend(sc.reqs.iter().map(|r| (r.src, r.value)));
+                    for port in 0..s {
+                        sc.usable_vals.clear();
+                        sc.usable_vals.extend(
+                            sc.vals
+                                .iter()
+                                .copied()
+                                .filter(|&(src, v)| {
+                                    (!datasize || v > 0.0) && detector.usable(src, dst, port)
+                                })
+                                .filter(|&(src, _)| topo.port_reaches(src, port, dst)),
+                        );
+                        if let Some(src) = informative::pick_max_value(&sc.usable_vals) {
+                            let v = sc.vals.iter_mut().find(|(x, _)| *x == src);
+                            let v = v.expect("the picked source is a requester");
+                            v.1 = if datasize {
+                                (v.1 - self.epoch_capacity as f64).max(0.0)
+                            } else {
+                                -1.0 - v.1.abs() // strictly below fresh requests
+                            };
+                            self.push_grant(sink, dst, src, port, 0);
+                        }
+                    }
+                }
+                SchedulerMode::Projector => {
+                    sc.preqs.clear();
+                    sc.preqs.extend(
+                        sc.reqs
+                            .iter()
+                            .filter(|r| r.port != usize::MAX)
+                            .filter(|r| detector.usable(r.src, dst, r.port))
+                            .map(|r| projector::PortRequest {
+                                src: r.src,
+                                port: r.port,
+                                waiting: r.value,
+                            }),
+                    );
+                    for (src, port) in projector::grant_by_waiting(s, &sc.preqs) {
+                        self.push_grant(sink, dst, src, port, 0);
+                    }
+                }
+            }
+        }
+    }
 }
 
 struct RequestCtx<'a> {
     shard: Shard,
+    n: usize,
+    mode: SchedulerMode,
+    now: Nanos,
+    threshold: u64,
+    topo: &'a AnyTopology,
+    queues: &'a [DestQueue],
+    queue_bytes: &'a [u64],
+    enqueued_total: &'a [u64],
     req_out: &'a mut [f64],
     req_port_out: &'a mut [usize],
     msg_flags: &'a mut [u8],
     reported_total: &'a mut [u64],
-    lane: &'a mut Lane,
+}
+
+impl Body for RequestCtx<'_> {
+    fn run<S: Sink>(self, _: &mut SimScratch, sink: &mut S) {
+        let n = self.n;
+        for src in self.shard.start..self.shard.end {
+            let base = (src - self.shard.start) * n;
+            if matches!(self.mode, SchedulerMode::Projector) {
+                let qs = &self.queues[src * n..(src + 1) * n];
+                for (dst, preq) in projector::bind_requests(self.topo, src, qs, self.now) {
+                    self.req_out[base + dst] = preq.waiting;
+                    self.req_port_out[base + dst] = preq.port;
+                    self.msg_flags[base + dst] |= REQ_FLAG;
+                    sink.dirty(src * n + dst);
+                }
+                continue;
+            }
+            for dst in 0..n {
+                let idx = src * n + dst;
+                if dst == src || self.queue_bytes[idx] <= self.threshold {
+                    continue;
+                }
+                let value = match self.mode {
+                    SchedulerMode::DataSize => self.queue_bytes[idx] as f64,
+                    SchedulerMode::HolDelay { alpha } => {
+                        informative::hol_delay_value(&self.queues[idx], self.now, alpha)
+                    }
+                    SchedulerMode::Stateful => {
+                        let new = self.enqueued_total[idx] - self.reported_total[base + dst];
+                        self.reported_total[base + dst] = self.enqueued_total[idx];
+                        new as f64
+                    }
+                    _ => 0.0,
+                };
+                self.req_out[base + dst] = value;
+                self.msg_flags[base + dst] |= REQ_FLAG;
+                sink.dirty(idx);
+                sink.stats().requests_sent += 1;
+            }
+        }
+    }
 }
 
 struct PredefCtx<'a> {
     shard: Shard,
+    n: usize,
+    s: usize,
+    rot: u64,
+    t0: Nanos,
+    pre_slots: usize,
+    pre_slot_len: Nanos,
+    pb_payload: u64,
+    pias_th: [u64; 2],
+    cfg: &'a NegotiatorConfig,
+    /// Flows arriving during this phase; each shard enqueues only its own
+    /// sources.
+    flows: &'a [workload::Flow],
+    cache: &'a PredefinedCache,
+    pair_port_tbl: &'a [u8],
     queues: &'a mut [DestQueue],
     queue_bytes: &'a mut [u64],
     enqueued_total: &'a mut [u64],
     msg_flags: &'a mut [u8],
     relay_buffers: &'a mut [RelayBuffer],
-    lane: &'a mut Lane,
+    backlog_by_port: &'a mut [u64],
+}
+
+impl PredefCtx<'_> {
+    /// The selective-relay per-port backlog entry of pair `(src, dst)`;
+    /// `None` outside selective relay, which keeps no pair-port table.
+    fn backlog_slot(&self, src: usize, dst: usize) -> Option<usize> {
+        let port = *self.pair_port_tbl.get(src * self.n + dst)? as usize;
+        Some((src - self.shard.start) * self.s + port)
+    }
+}
+
+impl Body for PredefCtx<'_> {
+    fn run<S: Sink>(self, _: &mut SimScratch, sink: &mut S) {
+        let (n, shard) = (self.n, self.shard);
+        let mut fi = 0;
+        for slot in 0..self.pre_slots {
+            let slot_start = self.t0 + slot as Nanos * self.pre_slot_len;
+            while fi < self.flows.len() && self.flows[fi].arrival <= slot_start {
+                let f = &self.flows[fi];
+                fi += 1;
+                if f.src < shard.start || f.src >= shard.end {
+                    continue;
+                }
+                let row = (f.src - shard.start) * n + f.dst;
+                let pias = self.cfg.priority_queues;
+                self.queues[row].enqueue_flow(f.id, f.bytes, f.arrival, pias, self.pias_th);
+                self.enqueued_total[row] += f.bytes;
+                self.queue_bytes[row] += f.bytes;
+                if let Some(b) = self.backlog_slot(f.src, f.dst) {
+                    self.backlog_by_port[b] += f.bytes;
+                }
+            }
+            let conns = self.cache.slot_conns_for_srcs(
+                self.rot,
+                slot,
+                shard.start as u32,
+                shard.end as u32,
+            );
+            let slot = slot as u32;
+            for conn in conns {
+                let (src, dst) = (conn.src as usize, conn.dst as usize);
+                let row = (src - shard.start) * n + dst;
+                let flags = self.msg_flags[row];
+                if flags != 0 {
+                    sink.push(Event::Msg {
+                        slot,
+                        src: conn.src,
+                        dst: conn.dst,
+                        flags,
+                    });
+                    self.msg_flags[row] &= !REQ_FLAG; // a request is delivered once
+                }
+                // Piggyback one data packet (§3.4.1).
+                if self.cfg.piggyback && self.queue_bytes[row] > 0 {
+                    let pkt = self.queues[row]
+                        .dequeue_packet(self.pb_payload)
+                        .expect("non-zero mirror implies a packet");
+                    self.queue_bytes[row] -= pkt.bytes;
+                    if let Some(b) = self.backlog_slot(src, dst) {
+                        self.backlog_by_port[b] -= pkt.bytes;
+                    }
+                    if pkt.relayed {
+                        self.relay_buffers[src - shard.start].release(pkt.bytes);
+                    }
+                    let stats = sink.stats();
+                    stats.piggyback_packets += 1;
+                    stats.piggyback_bytes += pkt.bytes;
+                    sink.push(Event::Data {
+                        slot,
+                        dst: conn.dst,
+                        flow: pkt.flow,
+                        bytes: pkt.bytes,
+                    });
+                }
+            }
+        }
+    }
 }
 
 struct SchedCtx<'a> {
     shard: Shard,
+    n: usize,
+    s: usize,
+    k_slots: usize,
+    sched_payload: u64,
+    failures: &'a LinkFailures,
+    /// This shard's chunk of `active_list`.
     entries: &'a [ActiveTx],
     queues: &'a mut [DestQueue],
     queue_bytes: &'a mut [u64],
     relay_buffers: &'a mut [RelayBuffer],
-    lane: &'a mut Lane,
+}
+
+impl Body for SchedCtx<'_> {
+    fn run<S: Sink>(self, sc: &mut SimScratch, sink: &mut S) {
+        let (n, s, k_slots, entries) = (self.n, self.s, self.k_slots, self.entries);
+        let mut i = 0;
+        while i < entries.len() {
+            // One source's run of entries (same src ⇒ contiguous, ≤ s long).
+            let src = entries[i].slot as usize / s;
+            let mut run_end = i + 1;
+            while run_end < entries.len() && entries[run_end].slot as usize / s == src {
+                run_end += 1;
+            }
+            let run = &entries[i..run_end];
+            let shared_queue = run
+                .iter()
+                .enumerate()
+                .any(|(a, e)| run[..a].iter().any(|f| f.dst == e.dst));
+            let local = src - self.shard.start;
+            if shared_queue {
+                // Rare: one queue feeds several ports; replay slot order.
+                for k in 0..k_slots {
+                    for e in run {
+                        let (port, dst) = (e.slot as usize % s, e.dst as usize);
+                        let row = local * n + dst;
+                        let Some(pkt) = self.queues[row].dequeue_packet(self.sched_payload) else {
+                            sink.stats().overscheduled_slots += 1;
+                            continue;
+                        };
+                        self.queue_bytes[row] -= pkt.bytes;
+                        if pkt.relayed {
+                            self.relay_buffers[local].release(pkt.bytes);
+                        }
+                        let up = self.failures.link_up(src, dst, port);
+                        send(sink, up, k, e.dst, pkt);
+                    }
+                }
+            } else {
+                for e in run {
+                    let (port, dst) = (e.slot as usize % s, e.dst as usize);
+                    let row = local * n + dst;
+                    sc.packets.clear();
+                    self.queues[row].dequeue_packets_into(
+                        self.sched_payload,
+                        k_slots,
+                        &mut sc.packets,
+                    );
+                    let drained: u64 = sc.packets.iter().map(|p| p.bytes).sum();
+                    self.queue_bytes[row] -= drained;
+                    sink.stats().overscheduled_slots += (k_slots - sc.packets.len()) as u64;
+                    let up = self.failures.link_up(src, dst, port);
+                    for (k, &pkt) in sc.packets.iter().enumerate() {
+                        if pkt.relayed {
+                            self.relay_buffers[local].release(pkt.bytes);
+                        }
+                        send(sink, up, k, e.dst, pkt);
+                    }
+                }
+            }
+            i = run_end;
+        }
+    }
+}
+
+/// One scheduled-slot transmission: delivered if the link is up, lost
+/// otherwise.
+#[inline]
+fn send(sink: &mut impl Sink, up: bool, k: usize, dst: u32, pkt: Packet) {
+    let stats = sink.stats();
+    if !up {
+        stats.lost_packets += 1;
+        return;
+    }
+    stats.scheduled_packets += 1;
+    stats.scheduled_bytes += pkt.bytes;
+    sink.push(Event::Data {
+        slot: k as u32,
+        dst,
+        flow: pkt.flow,
+        bytes: pkt.bytes,
+    });
 }
 
 impl NegotiatorSim {
-    /// Parallel ACCEPT (sharded by source ToR): arbitration and the
-    /// `active` match table are source-owned; stateful matrix reverts —
-    /// the one cross-ToR write — are buffered per lane and replayed in
-    /// shard order, which is exactly the sequential src-ascending order.
-    pub(super) fn step_accept_parallel(&mut self) {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
+    /// ACCEPT (sharded by source ToR): consume grants delivered last
+    /// epoch, fix this epoch's matching (direct matches, then relay
+    /// grants on leftover ports) and, in stateful mode, revert the debits
+    /// of rejected grants — the one cross-ToR write.
+    pub(super) fn accept_step(&mut self) {
         self.active.fill(None);
+        if self.opts.selective_relay {
+            self.active_relay.fill(None);
+        }
+        let before = (self.stats.grants_issued, self.stats.accepts_made);
         let shards = shard::partition(self.n, self.par_workers());
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let (s, mode) = (self.s, self.opts.mode);
-        let detector = &self.detector;
-        {
-            let inboxes = shard::split_rows(&mut self.inbox_grants, 1, &shards);
-            let arbs = shard::split_rows(&mut self.accept_arbs, 1, &shards);
-            let actives = shard::split_rows(&mut self.active, s, &shards);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for ((((&shard, inbox_grants), accept_arbs), active), lane) in shards
-                .iter()
-                .zip(inboxes)
-                .zip(arbs)
-                .zip(actives)
-                .zip(lanes.iter_mut())
-            {
-                ctxs.push(AcceptCtx {
-                    shard,
-                    inbox_grants,
-                    accept_arbs,
-                    active,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let AcceptCtx {
-                    shard,
-                    inbox_grants,
-                    accept_arbs,
-                    active,
-                    lane,
-                } = ctx;
-                for src in shard.start..shard.end {
-                    let row = src - shard.start;
-                    lane.scratch.grants_in.clear();
-                    std::mem::swap(&mut lane.scratch.grants_in, &mut inbox_grants[row]);
-                    lane.grants += lane.scratch.grants_in.len() as u64;
-                    lane.scratch.grants.clear();
-                    lane.scratch
-                        .grants
-                        .extend(lane.scratch.grants_in.iter().map(|&(g, _)| g));
-                    if matches!(mode, SchedulerMode::Projector) {
-                        lane.scratch.accepts.clear();
-                        lane.scratch.accepts.extend(
-                            lane.scratch
-                                .grants
-                                .iter()
-                                .filter(|g| detector.usable(src, g.dst, g.port))
-                                .map(|g| Accept {
-                                    dst: g.dst,
-                                    port: g.port,
-                                }),
-                        );
-                    } else {
-                        let (arb, grants, accepts) = (
-                            &mut accept_arbs[row],
-                            &lane.scratch.grants,
-                            &mut lane.scratch.accepts,
-                        );
-                        arb.accept_into(
-                            s,
-                            grants,
-                            |dst, port| detector.usable(src, dst, port),
-                            accepts,
-                        );
-                    }
-                    lane.accepts += lane.scratch.accepts.len() as u64;
-                    for a in &lane.scratch.accepts {
-                        active[row * s + a.port] = Some(a.dst);
-                    }
-                    if matches!(mode, SchedulerMode::Stateful) {
-                        for (g, debit) in &lane.scratch.grants_in {
-                            let kept = lane
-                                .scratch
-                                .accepts
-                                .iter()
-                                .any(|a| a.dst == g.dst && a.port == g.port);
-                            if !kept && *debit > 0 {
-                                lane.reverts.push((g.dst as u32, src as u32, *debit));
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        let (mut total_grants, mut total_accepts) = (0u64, 0u64);
-        for lane in &lanes {
-            total_grants += lane.grants;
-            total_accepts += lane.accepts;
-            for &(granter, src, debit) in &lane.reverts {
-                self.matrices[granter as usize].revert(src as usize, debit);
-            }
-        }
-        self.par.lanes = lanes;
-        self.match_rec.record_epoch(total_grants, total_accepts);
-        self.stats.grants_issued += total_grants;
-        self.stats.accepts_made += total_accepts;
+        let mut inboxes = Rows::new(&mut self.inbox.grants, 1, &shards);
+        let mut relay_inboxes = Rows::new(&mut self.inbox.relay_grant, 1, &shards);
+        let mut arbs = Rows::new(&mut self.accept_arbs, 1, &shards);
+        let mut actives = Rows::new(&mut self.active, self.s, &shards);
+        let mut relay_actives = Rows::new(&mut self.active_relay, self.s, &shards);
+        let ctxs = shards
+            .iter()
+            .map(|&shard| AcceptCtx {
+                shard,
+                s: self.s,
+                opts: &self.opts,
+                detector: &self.detector,
+                inbox_grants: inboxes.window(),
+                inbox_relay_grant: relay_inboxes.window(),
+                accept_arbs: arbs.window(),
+                active: actives.window(),
+                active_relay: relay_actives.window(),
+            })
+            .collect();
+        let mut direct = Direct {
+            matrices: &mut self.matrices,
+            ..Direct::new(&mut self.stats)
+        };
+        self.par
+            .run(ctxs, &mut self.scratch, &mut direct, Replay::Concat);
+        self.match_rec.record_epoch(
+            self.stats.grants_issued - before.0,
+            self.stats.accepts_made - before.1,
+        );
     }
 
-    /// Parallel GRANT (sharded by granter ToR): request inboxes, grant
-    /// arbiters, demand matrices and outgoing grant buckets are all
-    /// granter-row state; the dirty-index merge concatenates lanes in
-    /// shard order, matching the sequential granter-ascending scan.
-    pub(super) fn step_grant_parallel(&mut self, epoch: u64) {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
+    /// GRANT (sharded by granter ToR): consume requests delivered last
+    /// epoch and allocate ports. Request inboxes, grant arbiters, demand
+    /// matrices and outgoing grant buckets are all granter-row state; the
+    /// dirty-index merge concatenates lanes in shard order, matching the
+    /// one-shard granter-ascending scan. Relay grants follow on the
+    /// leftover ports.
+    pub(super) fn grant_step(&mut self, epoch: u64) {
         self.clear_grant_buckets();
-        let shards = shard::partition(self.n, self.par_workers());
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let (n, s, mode) = (self.n, self.s, self.opts.mode);
-        let stateful = matches!(mode, SchedulerMode::Stateful);
-        let epoch_capacity = self.epoch_capacity;
-        let host_buffer = self.opts.host_buffer_bytes;
-        let detector = &self.detector;
-        let topo = &self.topo;
-        let faults = &self.faults;
-        let rx_buffer = &self.rx_buffer[..];
-        {
-            let inboxes = shard::split_rows(&mut self.inbox_requests, 1, &shards);
-            let arbs = shard::split_rows(&mut self.grant_arbs, 1, &shards);
-            let buckets = shard::split_rows(&mut self.grant_buckets, n, &shards);
-            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            // `matrices` is empty outside stateful mode: hand out empty
-            // windows instead of row ranges then.
-            let mut mat_rest: &mut [DemandMatrix] = &mut self.matrices;
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for (((((&shard, inbox_requests), grant_arbs), grant_buckets), msg_flags), lane) in
-                shards
-                    .iter()
-                    .zip(inboxes)
-                    .zip(arbs)
-                    .zip(buckets)
-                    .zip(flags)
-                    .zip(lanes.iter_mut())
-            {
-                let take = if stateful { shard.len() } else { 0 };
-                let (matrices, rest) = mat_rest.split_at_mut(take);
-                mat_rest = rest;
-                ctxs.push(GrantCtx {
-                    shard,
-                    inbox_requests,
-                    grant_arbs,
-                    matrices,
-                    grant_buckets,
-                    msg_flags,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let GrantCtx {
-                    shard,
-                    inbox_requests,
-                    grant_arbs,
-                    matrices,
-                    grant_buckets,
-                    msg_flags,
-                    lane,
-                } = ctx;
-                // Shard-local `push_grant`: identical writes, granter rows
-                // only, dirty indices collected on the lane.
-                let push_grant = |grant_buckets: &mut [Vec<(u32, u64)>],
-                                  msg_flags: &mut [u8],
-                                  lane_dirty: &mut Vec<u32>,
-                                  dst: usize,
-                                  src: usize,
-                                  port: usize,
-                                  debit: u64| {
-                    let local = (dst - shard.start) * n + src;
-                    if grant_buckets[local].is_empty() {
-                        lane_dirty.push((dst * n + src) as u32);
-                        msg_flags[local] |= GRANT_FLAG;
-                    }
-                    grant_buckets[local].push((port as u32, debit));
-                };
-                #[allow(clippy::needless_range_loop)] // dst drives several arrays
-                for dst in shard.start..shard.end {
-                    let row = dst - shard.start;
-                    lane.scratch.reqs.clear();
-                    std::mem::swap(&mut lane.scratch.reqs, &mut inbox_requests[row]);
-                    if faults.greedy(dst) {
-                        // Byzantine-lite misbehavior, mirroring the
-                        // sequential step: discard the swapped-in requests
-                        // and grant every port round-robin over sources.
-                        for port in 0..s {
-                            if let Some(src) = greedy::greedy_source(topo, n, epoch, dst, port) {
-                                push_grant(
-                                    grant_buckets,
-                                    msg_flags,
-                                    &mut lane.dirty,
-                                    dst,
-                                    src,
-                                    port,
-                                    0,
-                                );
-                            }
-                        }
-                        continue;
-                    }
-                    if let Some(cap) = host_buffer {
-                        if rx_buffer[dst] > cap / 2 {
-                            continue;
-                        }
-                    }
-                    if stateful {
-                        for r in &lane.scratch.reqs {
-                            matrices[row].report(r.src, r.value as u64);
-                        }
-                    }
-                    if lane.scratch.reqs.is_empty() && !stateful {
-                        continue;
-                    }
-                    match mode {
-                        SchedulerMode::Base | SchedulerMode::Iterative { .. } => {
-                            lane.scratch.srcs.clear();
-                            lane.scratch
-                                .srcs
-                                .extend(lane.scratch.reqs.iter().map(|r| r.src));
-                            grant_arbs[row].grant_into(
-                                s,
-                                &lane.scratch.srcs,
-                                |src, port| detector.usable(src, dst, port),
-                                &mut lane.scratch.grant_pairs,
-                            );
-                            for &(src, port) in &lane.scratch.grant_pairs {
-                                push_grant(
-                                    grant_buckets,
-                                    msg_flags,
-                                    &mut lane.dirty,
-                                    dst,
-                                    src,
-                                    port,
-                                    0,
-                                );
-                            }
-                        }
-                        SchedulerMode::Stateful => {
-                            let matrix = &matrices[row];
-                            lane.scratch.srcs.clear();
-                            lane.scratch
-                                .srcs
-                                .extend((0..n).filter(|&src| matrix.has_pending(src)));
-                            if lane.scratch.srcs.is_empty() {
-                                continue;
-                            }
-                            grant_arbs[row].grant_into(
-                                s,
-                                &lane.scratch.srcs,
-                                |src, port| detector.usable(src, dst, port),
-                                &mut lane.scratch.grant_pairs,
-                            );
-                            for &(src, port) in &lane.scratch.grant_pairs {
-                                let debit = matrices[row].debit(src, epoch_capacity);
-                                push_grant(
-                                    grant_buckets,
-                                    msg_flags,
-                                    &mut lane.dirty,
-                                    dst,
-                                    src,
-                                    port,
-                                    debit,
-                                );
-                            }
-                        }
-                        SchedulerMode::DataSize | SchedulerMode::HolDelay { .. } => {
-                            let datasize = matches!(mode, SchedulerMode::DataSize);
-                            lane.scratch.vals.clear();
-                            lane.scratch
-                                .vals
-                                .extend(lane.scratch.reqs.iter().map(|r| (r.src, r.value)));
-                            for port in 0..s {
-                                lane.scratch.usable_vals.clear();
-                                lane.scratch.usable_vals.extend(
-                                    lane.scratch
-                                        .vals
-                                        .iter()
-                                        .copied()
-                                        .filter(|&(src, v)| {
-                                            (!datasize || v > 0.0)
-                                                && detector.usable(src, dst, port)
-                                        })
-                                        .filter(|&(src, _)| topo.port_reaches(src, port, dst)),
-                                );
-                                if let Some(src) =
-                                    informative::pick_max_value(&lane.scratch.usable_vals)
-                                {
-                                    let v = lane
-                                        .scratch
-                                        .vals
-                                        .iter_mut()
-                                        .find(|(x, _)| *x == src)
-                                        .unwrap();
-                                    v.1 = if datasize {
-                                        (v.1 - epoch_capacity as f64).max(0.0)
-                                    } else {
-                                        -1.0 - v.1.abs()
-                                    };
-                                    push_grant(
-                                        grant_buckets,
-                                        msg_flags,
-                                        &mut lane.dirty,
-                                        dst,
-                                        src,
-                                        port,
-                                        0,
-                                    );
-                                }
-                            }
-                        }
-                        SchedulerMode::Projector => {
-                            lane.scratch.preqs.clear();
-                            lane.scratch.preqs.extend(
-                                lane.scratch
-                                    .reqs
-                                    .iter()
-                                    .filter(|r| r.port != usize::MAX)
-                                    .filter(|r| detector.usable(r.src, dst, r.port))
-                                    .map(|r| projector::PortRequest {
-                                        src: r.src,
-                                        port: r.port,
-                                        waiting: r.value,
-                                    }),
-                            );
-                            let grants = projector::grant_by_waiting(s, &lane.scratch.preqs);
-                            for (src, port) in grants {
-                                push_grant(
-                                    grant_buckets,
-                                    msg_flags,
-                                    &mut lane.dirty,
-                                    dst,
-                                    src,
-                                    port,
-                                    0,
-                                );
-                            }
-                        }
-                    }
-                }
-            });
+        let (n, s) = (self.n, self.s);
+        let shards = shard::partition(n, self.par_workers());
+        let stateful = matches!(self.opts.mode, SchedulerMode::Stateful);
+        let mut inboxes = Rows::new(&mut self.inbox.requests, 1, &shards);
+        let mut arbs = Rows::new(&mut self.grant_arbs, 1, &shards);
+        let mut matrices = Rows::new(&mut self.matrices, usize::from(stateful), &shards);
+        let mut buckets = Rows::new(&mut self.out.grants, n, &shards);
+        let mut flags = Rows::new(&mut self.msg_flags, n, &shards);
+        let mut granted = Rows::new(&mut self.port_granted, s, &shards);
+        let ctxs = shards
+            .iter()
+            .map(|&shard| GrantCtx {
+                shard,
+                n,
+                s,
+                epoch,
+                epoch_capacity: self.epoch_capacity,
+                opts: &self.opts,
+                detector: &self.detector,
+                topo: &self.topo,
+                faults: &self.faults,
+                rx_buffer: &self.rx.buffer,
+                inbox_requests: inboxes.window(),
+                grant_arbs: arbs.window(),
+                matrices: matrices.window(),
+                grant_buckets: buckets.window(),
+                msg_flags: flags.window(),
+                port_granted: granted.window(),
+            })
+            .collect();
+        let mut direct = Direct {
+            dirty: Some(&mut self.grant_dirty),
+            ..Direct::new(&mut self.stats)
+        };
+        self.par
+            .run(ctxs, &mut self.scratch, &mut direct, Replay::Concat);
+        if self.opts.selective_relay {
+            self.relay_grant_step();
         }
-        for lane in &lanes {
-            self.grant_dirty.extend_from_slice(&lane.dirty);
-        }
-        self.par.lanes = lanes;
     }
 
-    /// Parallel REQUEST (sharded by source ToR): the O(n²) threshold scan
-    /// over `queue_bytes` plus per-source outbox writes; per-lane dirty
-    /// indices concatenate to the sequential source-ascending order.
-    pub(super) fn step_request_parallel(&mut self, now: Nanos) {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
+    /// REQUEST (sharded by source ToR): the O(n²) threshold scan over the
+    /// dense `queue_bytes` mirror plus per-source outbox writes, touching
+    /// the queue structs only for above-threshold pairs. Request presence
+    /// is a bit in `msg_flags`, so only last epoch's undelivered
+    /// stragglers need clearing — no per-epoch sweep over all `n²` pairs.
+    pub(super) fn request_step(&mut self, now: Nanos) {
         for &i in &self.req_dirty {
             self.msg_flags[i as usize] &= !REQ_FLAG;
         }
         self.req_dirty.clear();
-        let shards = shard::partition(self.n, self.par_workers());
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let (n, mode) = (self.n, self.opts.mode);
-        let threshold = self.cfg.request_threshold_bytes();
-        let topo = &self.topo;
-        let queues = &self.queues[..];
-        let queue_bytes = &self.queue_bytes[..];
-        let enqueued_total = &self.enqueued_total[..];
-        {
-            let outs = shard::split_rows(&mut self.req_out, n, &shards);
-            let ports = shard::split_rows(&mut self.req_port_out, n, &shards);
-            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            let reported = shard::split_rows(&mut self.reported_total, n, &shards);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for (((((&shard, req_out), req_port_out), msg_flags), reported_total), lane) in shards
-                .iter()
-                .zip(outs)
-                .zip(ports)
-                .zip(flags)
-                .zip(reported)
-                .zip(lanes.iter_mut())
-            {
-                ctxs.push(RequestCtx {
-                    shard,
-                    req_out,
-                    req_port_out,
-                    msg_flags,
-                    reported_total,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let RequestCtx {
-                    shard,
-                    req_out,
-                    req_port_out,
-                    msg_flags,
-                    reported_total,
-                    lane,
-                } = ctx;
-                for src in shard.start..shard.end {
-                    let base = (src - shard.start) * n;
-                    if matches!(mode, SchedulerMode::Projector) {
-                        let qs = &queues[src * n..(src + 1) * n];
-                        for (dst, preq) in projector::bind_requests(topo, src, qs, now) {
-                            req_out[base + dst] = preq.waiting;
-                            req_port_out[base + dst] = preq.port;
-                            msg_flags[base + dst] |= REQ_FLAG;
-                            lane.dirty.push((src * n + dst) as u32);
-                        }
-                        continue;
-                    }
-                    for dst in 0..n {
-                        if dst == src {
-                            continue;
-                        }
-                        let idx = src * n + dst;
-                        if queue_bytes[idx] <= threshold {
-                            continue;
-                        }
-                        let value = match mode {
-                            SchedulerMode::DataSize => queue_bytes[idx] as f64,
-                            SchedulerMode::HolDelay { alpha } => {
-                                informative::hol_delay_value(&queues[idx], now, alpha)
-                            }
-                            SchedulerMode::Stateful => {
-                                let new = enqueued_total[idx] - reported_total[base + dst];
-                                reported_total[base + dst] = enqueued_total[idx];
-                                new as f64
-                            }
-                            _ => 0.0,
-                        };
-                        req_out[base + dst] = value;
-                        msg_flags[base + dst] |= REQ_FLAG;
-                        lane.dirty.push(idx as u32);
-                        lane.requests += 1;
-                    }
-                }
-            });
-        }
-        for lane in &lanes {
-            self.req_dirty.extend_from_slice(&lane.dirty);
-            self.stats.requests_sent += lane.requests;
-        }
-        self.par.lanes = lanes;
+        let n = self.n;
+        let shards = shard::partition(n, self.par_workers());
+        let mut outs = Rows::new(&mut self.out.req, n, &shards);
+        let mut ports = Rows::new(&mut self.out.req_port, n, &shards);
+        let mut flags = Rows::new(&mut self.msg_flags, n, &shards);
+        let mut reported = Rows::new(&mut self.reported_total, n, &shards);
+        let ctxs = shards
+            .iter()
+            .map(|&shard| RequestCtx {
+                shard,
+                n,
+                mode: self.opts.mode,
+                now,
+                threshold: self.cfg.request_threshold_bytes(),
+                topo: &self.topo,
+                queues: &self.queues,
+                queue_bytes: &self.queue_bytes,
+                enqueued_total: &self.enqueued_total,
+                req_out: outs.window(),
+                req_port_out: ports.window(),
+                msg_flags: flags.window(),
+                reported_total: reported.window(),
+            })
+            .collect();
+        let mut direct = Direct {
+            dirty: Some(&mut self.req_dirty),
+            ..Direct::new(&mut self.stats)
+        };
+        self.par
+            .run(ctxs, &mut self.scratch, &mut direct, Replay::Concat);
     }
 
-    /// Parallel healthy-fabric predefined phase. Shards own source rows:
-    /// they inject their own flows at slot boundaries, clear their own
-    /// REQ flags, drain their own piggyback queues — and emit slot-tagged
-    /// events for every cross-ToR effect. The merge replays events
-    /// slot-major, lanes in shard order within a slot, which is exactly
-    /// the `(slot, src, port)` order of the sequential loop.
-    pub(super) fn predefined_healthy_parallel(
+    /// Healthy-fabric predefined phase. Shards own source rows: they
+    /// inject their own flows at slot boundaries, clear their own REQ
+    /// flags, drain their own piggyback queues — and send every
+    /// cross-ToR effect to the sink tagged with its slot. k-shard lanes
+    /// replay slot-major, lanes in shard order within a slot, which is
+    /// exactly the `(slot, src, port)` order of the one-shard loop.
+    pub(super) fn predefined_healthy(
         &mut self,
         flows: &[workload::Flow],
         cursor: usize,
-        cache: &PredefinedCache,
         rot: u64,
         t0: Nanos,
         tracker: &mut FlowTracker,
     ) -> usize {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
         debug_assert!(
             !self.faults.gray_active(),
-            "gray epochs take the sequential failure path (healthy gate)"
+            "gray epochs take the failure path (healthy gate)"
         );
-        let (n, pre_slots) = (self.n, self.pre_slots);
-        let (pre_slot_len, prop) = (self.pre_slot_len, self.cfg.net.propagation_delay);
-        let (piggyback, pb_payload) = (self.cfg.piggyback, self.pb_payload);
-        let (pias, pias_th) = (self.cfg.priority_queues, self.pias_th);
-        // Flows that arrive during this phase, shared read-only: each
-        // shard walks the slice once and enqueues only its own sources.
-        let last_start = t0 + (pre_slots as Nanos - 1) * pre_slot_len;
+        let (n, s, pre_slot_len) = (self.n, self.s, self.pre_slot_len);
+        let last_start = t0 + (self.pre_slots as Nanos - 1) * pre_slot_len;
         let end = cursor + flows[cursor..].partition_point(|f| f.arrival <= last_start);
-        let phase_flows = &flows[cursor..end];
         let shards = shard::partition(n, self.par_workers());
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let req_out = &self.req_out[..];
-        let req_port_out = &self.req_port_out[..];
-        let grant_buckets = &self.grant_buckets[..];
-        {
-            let queues = shard::split_rows(&mut self.queues, n, &shards);
-            let qbytes = shard::split_rows(&mut self.queue_bytes, n, &shards);
-            let enq = shard::split_rows(&mut self.enqueued_total, n, &shards);
-            let flags = shard::split_rows(&mut self.msg_flags, n, &shards);
-            let bufs = shard::split_rows(&mut self.relay_buffers, 1, &shards);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for ((((((&shard, queues), queue_bytes), enqueued_total), msg_flags), rb), lane) in
-                shards
-                    .iter()
-                    .zip(queues)
-                    .zip(qbytes)
-                    .zip(enq)
-                    .zip(flags)
-                    .zip(bufs)
-                    .zip(lanes.iter_mut())
-            {
-                ctxs.push(PredefCtx {
-                    shard,
-                    queues,
-                    queue_bytes,
-                    enqueued_total,
-                    msg_flags,
-                    relay_buffers: rb,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let PredefCtx {
-                    shard,
-                    queues,
-                    queue_bytes,
-                    enqueued_total,
-                    msg_flags,
-                    relay_buffers,
-                    lane,
-                } = ctx;
-                let mut fi = 0usize;
-                for slot in 0..pre_slots {
-                    let slot_start = t0 + slot as Nanos * pre_slot_len;
-                    while fi < phase_flows.len() && phase_flows[fi].arrival <= slot_start {
-                        let f = &phase_flows[fi];
-                        fi += 1;
-                        if f.src < shard.start || f.src >= shard.end {
-                            continue;
-                        }
-                        let row = (f.src - shard.start) * n + f.dst;
-                        queues[row].enqueue_flow(f.id, f.bytes, f.arrival, pias, pias_th);
-                        enqueued_total[row] += f.bytes;
-                        queue_bytes[row] += f.bytes;
-                    }
-                    let conns =
-                        cache.slot_conns_for_srcs(rot, slot, shard.start as u32, shard.end as u32);
-                    for conn in conns {
-                        let (src, dst) = (conn.src as usize, conn.dst as usize);
-                        let row = (src - shard.start) * n + dst;
-                        let f = msg_flags[row];
-                        if f != 0 {
-                            debug_assert_eq!(
-                                f & (RELAY_REQ_FLAG | RELAY_GRANT_FLAG),
-                                0,
-                                "relay messages never exist on the parallel path"
-                            );
-                            if f & REQ_FLAG != 0 {
-                                lane.events.push(Event::Req {
-                                    slot: slot as u32,
-                                    dst: dst as u32,
-                                    src: src as u32,
-                                    value: req_out[src * n + dst],
-                                    port: port_to_u32(req_port_out[src * n + dst]),
-                                });
-                                msg_flags[row] &= !REQ_FLAG; // delivered once
-                            }
-                            if f & GRANT_FLAG != 0 {
-                                for &(port, debit) in &grant_buckets[src * n + dst] {
-                                    lane.events.push(Event::Grant {
-                                        slot: slot as u32,
-                                        dst: dst as u32,
-                                        granter: src as u32,
-                                        port,
-                                        debit,
-                                    });
-                                }
-                            }
-                        }
-                        if piggyback && queue_bytes[row] > 0 {
-                            let pkt = queues[row]
-                                .dequeue_packet(pb_payload)
-                                .expect("non-zero mirror implies a packet");
-                            queue_bytes[row] -= pkt.bytes;
-                            if pkt.relayed {
-                                relay_buffers[src - shard.start].release(pkt.bytes);
-                            }
-                            lane.pb_packets += 1;
-                            lane.pb_bytes += pkt.bytes;
-                            lane.events.push(Event::Data {
-                                slot: slot as u32,
-                                dst: dst as u32,
-                                flow: pkt.flow,
-                                bytes: pkt.bytes,
-                            });
-                        }
-                    }
-                }
-            });
-        }
-        self.replay_slot_major(
-            &lanes,
-            pre_slots,
-            |slot| t0 + (slot as Nanos + 1) * pre_slot_len + prop,
-            tracker,
-        );
-        // Replays above used `&mut self`; fold counters and restore lanes.
-        for lane in &lanes {
-            self.stats.piggyback_packets += lane.pb_packets;
-            self.stats.piggyback_bytes += lane.pb_bytes;
-        }
-        self.par.lanes = lanes;
+        let backlog_width = if self.backlog_by_port.is_empty() {
+            0
+        } else {
+            s
+        };
+        let mut queues = Rows::new(&mut self.queues, n, &shards);
+        let mut qbytes = Rows::new(&mut self.queue_bytes, n, &shards);
+        let mut enq = Rows::new(&mut self.enqueued_total, n, &shards);
+        let mut flags = Rows::new(&mut self.msg_flags, n, &shards);
+        let mut bufs = Rows::new(&mut self.relay_buffers, 1, &shards);
+        let mut backlogs = Rows::new(&mut self.backlog_by_port, backlog_width, &shards);
+        let ctxs = shards
+            .iter()
+            .map(|&shard| PredefCtx {
+                shard,
+                n,
+                s,
+                rot,
+                t0,
+                pre_slots: self.pre_slots,
+                pre_slot_len,
+                pb_payload: self.pb_payload,
+                pias_th: self.pias_th,
+                cfg: &self.cfg,
+                flows: &flows[cursor..end],
+                cache: &self.pre_cache,
+                pair_port_tbl: &self.pair_port_tbl,
+                queues: queues.window(),
+                queue_bytes: qbytes.window(),
+                enqueued_total: enq.window(),
+                msg_flags: flags.window(),
+                relay_buffers: bufs.window(),
+                backlog_by_port: backlogs.window(),
+            })
+            .collect();
+        let first = t0 + pre_slot_len + self.cfg.net.propagation_delay;
+        let mut direct = Direct {
+            msgs: Some((&mut self.inbox, &self.out, n)),
+            rx: Some((&mut self.rx, tracker, first, pre_slot_len)),
+            ..Direct::new(&mut self.stats)
+        };
+        let replay = Replay::SlotMajor(self.pre_slots);
+        self.par.run(ctxs, &mut self.scratch, &mut direct, replay);
         end
     }
 
-    /// Replay lane events slot-major: all lanes' slot-`k` events (lanes
-    /// in shard order, each lane's events in emission order) before any
-    /// slot-`k+1` event. Per-lane streams are slot-sorted by
-    /// construction, so one cursor per lane suffices.
-    // lint: hot-path
-    fn replay_slot_major(
-        &mut self,
-        lanes: &[Lane],
-        slots: usize,
-        arrive_at: impl Fn(usize) -> Nanos,
-        tracker: &mut FlowTracker,
-    ) {
-        let mut ptrs = std::mem::take(&mut self.par.ptrs);
-        ptrs.clear();
-        ptrs.resize(lanes.len(), 0);
-        for slot in 0..slots {
-            let arrive = arrive_at(slot);
-            for (lane, ptr) in lanes.iter().zip(ptrs.iter_mut()) {
-                while let Some(ev) = lane.events.get(*ptr) {
-                    if ev.slot() != slot as u32 {
-                        break;
-                    }
-                    *ptr += 1;
-                    self.apply_event(*ev, arrive, tracker);
-                }
-            }
-        }
-        debug_assert!(
-            lanes
-                .iter()
-                .zip(&ptrs)
-                .all(|(lane, &p)| p == lane.events.len()),
-            "every event must replay exactly once"
-        );
-        self.par.ptrs = ptrs;
-    }
-
-    /// Apply one cross-ToR event exactly as the sequential loop would
-    /// have: inbox pushes for scheduling messages, the full delivery
-    /// bookkeeping for data.
-    // lint: hot-path
-    fn apply_event(&mut self, ev: Event, arrive: Nanos, tracker: &mut FlowTracker) {
-        match ev {
-            Event::Req {
-                dst,
-                src,
-                value,
-                port,
-                ..
-            } => {
-                // lint: allow(H001) inbox vecs recycle capacity across epochs (swap-recycled)
-                self.inbox_requests[dst as usize].push(ReqIn {
-                    src: src as usize,
-                    value,
-                    port: port_from_u32(port),
-                });
-            }
-            Event::Grant {
-                dst,
-                granter,
-                port,
-                debit,
-                ..
-            } => {
-                // lint: allow(H001) inbox vecs recycle capacity across epochs (swap-recycled)
-                self.inbox_grants[dst as usize].push((
-                    Grant {
-                        dst: granter as usize,
-                        port: port as usize,
-                    },
-                    debit,
-                ));
-            }
-            Event::Data {
-                dst, flow, bytes, ..
-            } => {
-                self.deliver_data(dst as usize, flow, bytes, arrive, tracker);
-            }
-        }
-    }
-
-    /// Parallel quiet scheduled phase: `active_list` is split at source-
-    /// run boundaries into per-shard chunks (the list is slot-ordered, so
-    /// chunks cover disjoint, ascending source ranges); each shard drains
-    /// its own queues and emits `Data` events tagged with the scheduled
-    /// slot `k`, replayed in lane order = list order = sequential order.
-    pub(super) fn scheduled_batched_parallel(
-        &mut self,
-        sched_start: Nanos,
-        tracker: &mut FlowTracker,
-    ) {
-        debug_assert!(!self.opts.selective_relay, "relay runs are sequential");
-        let list = std::mem::take(&mut self.active_list);
+    /// Quiet scheduled phase: each matched port pulls its whole phase's
+    /// packets in one batch dequeue; ports of one source serving the
+    /// *same* destination queue replay exact slot order instead (their
+    /// interleaving determines which packet each port carries).
+    /// `active_list` is split at source-run boundaries into per-shard
+    /// chunks (the list is slot-ordered, so chunks cover disjoint,
+    /// ascending source ranges); data events carry the scheduled slot
+    /// `k` and replay in lane order = list order = one-shard order.
+    pub(super) fn scheduled_batched(&mut self, sched_start: Nanos, tracker: &mut FlowTracker) {
+        debug_assert!(!self.opts.selective_relay, "relay takes the general path");
+        let list = &self.active_list[..];
         if list.is_empty() {
-            self.active_list = list;
             return;
         }
         let (n, s) = (self.n, self.s);
-        let prop = self.cfg.net.propagation_delay;
-        let slot_len = self.cfg.epoch.scheduled_slot;
-        let k_slots = self.cfg.epoch.scheduled_slots;
-        let sched_payload = self.sched_payload;
         let workers = self.par_workers();
         // Chunk starts, aligned so no source's run spans two chunks.
-        let mut cuts = std::mem::take(&mut self.par.cuts);
+        let cuts = &mut self.par.cuts;
         cuts.clear();
         cuts.push(0);
         for c in 1..workers {
@@ -934,161 +1046,50 @@ impl NegotiatorSim {
                     i += 1;
                 }
             }
-            if i > *cuts.last().unwrap() && i < list.len() {
+            if i > cuts[cuts.len() - 1] && i < list.len() {
                 cuts.push(i);
             }
         }
         cuts.push(list.len());
         // Source ranges covered by each chunk tile [0, n).
-        let mut shards = Vec::with_capacity(cuts.len() - 1);
-        for (ci, w) in cuts.windows(2).enumerate() {
-            let start = if ci == 0 {
-                0
-            } else {
-                list[w[0]].slot as usize / s
-            };
-            let end = if ci == cuts.len() - 2 {
-                n
-            } else {
-                list[w[1]].slot as usize / s
-            };
-            shards.push(Shard { start, end });
-        }
-        let mut lanes = take_lanes(&mut self.par, shards.len());
-        let failures = &self.failures;
-        {
-            let queues = shard::split_rows(&mut self.queues, n, &shards);
-            let qbytes = shard::split_rows(&mut self.queue_bytes, n, &shards);
-            let bufs = shard::split_rows(&mut self.relay_buffers, 1, &shards);
-            let mut ctxs = Vec::with_capacity(shards.len());
-            for (ci, ((((&shard, queues), queue_bytes), relay_buffers), lane)) in shards
-                .iter()
-                .zip(queues)
-                .zip(qbytes)
-                .zip(bufs)
-                .zip(lanes.iter_mut())
-                .enumerate()
-            {
-                ctxs.push(SchedCtx {
-                    shard,
-                    entries: &list[cuts[ci]..cuts[ci + 1]],
-                    queues,
-                    queue_bytes,
-                    relay_buffers,
-                    lane,
-                });
-            }
-            shard::map_shards(ctxs, |_, ctx| {
-                let SchedCtx {
-                    shard,
-                    entries,
-                    queues,
-                    queue_bytes,
-                    relay_buffers,
-                    lane,
-                } = ctx;
-                let mut i = 0;
-                while i < entries.len() {
-                    let src = entries[i].slot as usize / s;
-                    let mut run_end = i + 1;
-                    while run_end < entries.len() && entries[run_end].slot as usize / s == src {
-                        run_end += 1;
-                    }
-                    let run = &entries[i..run_end];
-                    let shared_queue = run
-                        .iter()
-                        .enumerate()
-                        .any(|(a, e)| run[..a].iter().any(|f| f.dst == e.dst));
-                    let local = src - shard.start;
-                    if shared_queue {
-                        // Rare: one queue feeds several ports; replay slot
-                        // order exactly like the sequential path.
-                        for k in 0..k_slots {
-                            for e in run {
-                                let port = e.slot as usize % s;
-                                let dst = e.dst as usize;
-                                let row = local * n + dst;
-                                if let Some(pkt) = queues[row].dequeue_packet(sched_payload) {
-                                    queue_bytes[row] -= pkt.bytes;
-                                    if pkt.relayed {
-                                        relay_buffers[local].release(pkt.bytes);
-                                    }
-                                    if failures.link_up(src, dst, port) {
-                                        lane.sched_packets += 1;
-                                        lane.sched_bytes += pkt.bytes;
-                                        lane.events.push(Event::Data {
-                                            slot: k as u32,
-                                            dst: e.dst,
-                                            flow: pkt.flow,
-                                            bytes: pkt.bytes,
-                                        });
-                                    } else {
-                                        lane.lost += 1;
-                                    }
-                                } else {
-                                    lane.oversched += 1;
-                                }
-                            }
-                        }
-                    } else {
-                        for e in run {
-                            let (port, dst) = (e.slot as usize % s, e.dst as usize);
-                            let row = local * n + dst;
-                            lane.scratch.packets.clear();
-                            queues[row].dequeue_packets_into(
-                                sched_payload,
-                                k_slots,
-                                &mut lane.scratch.packets,
-                            );
-                            let drained: u64 = lane.scratch.packets.iter().map(|p| p.bytes).sum();
-                            queue_bytes[row] -= drained;
-                            lane.oversched += (k_slots - lane.scratch.packets.len()) as u64;
-                            let up = failures.link_up(src, dst, port);
-                            for (k, pkt) in lane.scratch.packets.iter().enumerate() {
-                                if pkt.relayed {
-                                    relay_buffers[local].release(pkt.bytes);
-                                }
-                                if up {
-                                    lane.sched_packets += 1;
-                                    lane.sched_bytes += pkt.bytes;
-                                    lane.events.push(Event::Data {
-                                        slot: k as u32,
-                                        dst: e.dst,
-                                        flow: pkt.flow,
-                                        bytes: pkt.bytes,
-                                    });
-                                } else {
-                                    lane.lost += 1;
-                                }
-                            }
-                        }
-                    }
-                    i = run_end;
-                }
-            });
-        }
-        // Replay deliveries in lane order = active-list order; arrival
-        // time derives from the event's scheduled-slot tag.
-        for lane in &lanes {
-            for ev in &lane.events {
-                if let Event::Data {
-                    slot,
-                    dst,
-                    flow,
-                    bytes,
-                } = *ev
-                {
-                    let arrive = sched_start + (slot as Nanos + 1) * slot_len + prop;
-                    self.deliver_data(dst as usize, flow, bytes, arrive, tracker);
-                }
-            }
-            self.stats.scheduled_packets += lane.sched_packets;
-            self.stats.scheduled_bytes += lane.sched_bytes;
-            self.stats.lost_packets += lane.lost;
-            self.stats.overscheduled_slots += lane.oversched;
-        }
-        self.par.lanes = lanes;
-        self.par.cuts = cuts;
-        self.active_list = list;
+        let src_at = |i: usize| match i {
+            0 => 0,
+            i if i == list.len() => n,
+            i => list[i].slot as usize / s,
+        };
+        let shards: Vec<_> = cuts
+            .windows(2)
+            .map(|w| Shard {
+                start: src_at(w[0]),
+                end: src_at(w[1]),
+            })
+            .collect();
+        let mut queues = Rows::new(&mut self.queues, n, &shards);
+        let mut qbytes = Rows::new(&mut self.queue_bytes, n, &shards);
+        let mut bufs = Rows::new(&mut self.relay_buffers, 1, &shards);
+        let ctxs = shards
+            .iter()
+            .zip(cuts.windows(2))
+            .map(|(&shard, w)| SchedCtx {
+                shard,
+                n,
+                s,
+                k_slots: self.cfg.epoch.scheduled_slots,
+                sched_payload: self.sched_payload,
+                failures: &self.failures,
+                entries: &list[w[0]..w[1]],
+                queues: queues.window(),
+                queue_bytes: qbytes.window(),
+                relay_buffers: bufs.window(),
+            })
+            .collect();
+        let slot_len = self.cfg.epoch.scheduled_slot;
+        let first = sched_start + slot_len + self.cfg.net.propagation_delay;
+        let mut direct = Direct {
+            rx: Some((&mut self.rx, tracker, first, slot_len)),
+            ..Direct::new(&mut self.stats)
+        };
+        self.par
+            .run(ctxs, &mut self.scratch, &mut direct, Replay::Concat);
     }
 }

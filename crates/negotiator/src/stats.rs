@@ -39,6 +39,35 @@ pub struct SchedStats {
     pub control_dropped: u64,
 }
 
+impl std::ops::AddAssign for SchedStats {
+    fn add_assign(&mut self, other: SchedStats) {
+        let SchedStats {
+            requests_sent,
+            grants_issued,
+            accepts_made,
+            piggyback_packets,
+            piggyback_bytes,
+            scheduled_packets,
+            scheduled_bytes,
+            overscheduled_slots,
+            unmatched_slots,
+            lost_packets,
+            control_dropped,
+        } = other;
+        self.requests_sent += requests_sent;
+        self.grants_issued += grants_issued;
+        self.accepts_made += accepts_made;
+        self.piggyback_packets += piggyback_packets;
+        self.piggyback_bytes += piggyback_bytes;
+        self.scheduled_packets += scheduled_packets;
+        self.scheduled_bytes += scheduled_bytes;
+        self.overscheduled_slots += overscheduled_slots;
+        self.unmatched_slots += unmatched_slots;
+        self.lost_packets += lost_packets;
+        self.control_dropped += control_dropped;
+    }
+}
+
 impl SchedStats {
     /// Fraction of scheduled port-slots that carried a packet.
     pub fn scheduled_utilization(&self) -> f64 {

@@ -144,29 +144,42 @@ fn negotiator_report_is_identical_at_any_worker_count() {
     }
 }
 
-/// Every scheduler variant shards the same way — the parallel phase
-/// bodies replicate each mode's grant/request logic, so each mode must
-/// hold the byte-identity promise on its own.
+/// Every scheduler variant shards the same way on both topologies, so
+/// each mode must hold the byte-identity promise on its own. Selective
+/// relay clamps itself to one shard and must ignore the worker count
+/// outright. Reports and scheduler counters must both match.
 #[test]
 fn variant_reports_are_identical_at_any_worker_count() {
     let t = trace(33);
-    for mode in [
+    let modes = [
         SchedulerMode::Iterative { rounds: 2 },
         SchedulerMode::DataSize,
         SchedulerMode::HolDelay { alpha: 0.001 },
         SchedulerMode::Stateful,
         SchedulerMode::Projector,
-    ] {
+    ];
+    let inputs = [TopologyKind::Parallel, TopologyKind::ThinClos]
+        .into_iter()
+        .flat_map(|kind| modes.map(|mode| (kind, mode, false)))
+        .chain([(TopologyKind::ThinClos, SchedulerMode::Base, true)]);
+    for (kind, mode, selective_relay) in inputs {
         let run = |workers: usize| {
             let cfg = NegotiatorConfig::paper_default(NetworkConfig::small_for_tests());
             let opts = SimOptions {
                 mode,
+                selective_relay,
                 workers,
                 ..SimOptions::default()
             };
-            NegotiatorSim::with_options(cfg, TopologyKind::Parallel, opts).run(&t, DURATION)
+            let mut sim = NegotiatorSim::with_options(cfg, kind, opts);
+            let report = sim.run(&t, DURATION);
+            (report, *sim.stats())
         };
-        assert_eq!(run(1), run(4), "{mode:?}: 4 workers diverged");
+        assert_eq!(
+            run(1),
+            run(4),
+            "{kind:?} {mode:?} relay={selective_relay}: 4 workers diverged"
+        );
     }
 }
 

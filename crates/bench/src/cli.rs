@@ -4,6 +4,7 @@
 use std::path::PathBuf;
 
 use crate::experiments::{find_experiment, Args, EXPERIMENTS};
+use metrics::trace::TraceEventKind;
 
 /// Default daemon address for `paper serve` / `paper submit`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7470";
@@ -52,7 +53,7 @@ pub struct Cli {
     /// (`--strict`).
     pub trace_strict: bool,
     /// Event-kind filter for `paper trace query` (`--kind NAME`).
-    pub trace_kind: Option<String>,
+    pub trace_kind: Option<TraceEventKind>,
     /// ToR filter for `paper trace query` (`--tor N`; matches `tor`,
     /// `src` and `dst` fields).
     pub trace_tor: Option<u64>,
@@ -231,7 +232,11 @@ pub fn parse(argv: Vec<String>) -> Result<Cli, String> {
             "--no-cache" => cli.cache = false,
             "--trace" => cli.trace = Some(PathBuf::from(value(&mut it, "--trace")?)),
             "--strict" => cli.trace_strict = true,
-            "--kind" => cli.trace_kind = Some(value(&mut it, "--kind")?),
+            "--kind" => {
+                let v = value(&mut it, "--kind")?;
+                cli.trace_kind =
+                    Some(TraceEventKind::from_name(&v).map_err(|e| format!("--kind: {e}"))?);
+            }
             "--tor" => {
                 let v = value(&mut it, "--tor")?;
                 cli.trace_tor = Some(
@@ -692,7 +697,10 @@ mod tests {
             cli.trace_cmd,
             Some(TraceCmd::Query(PathBuf::from("t.ndjson")))
         );
-        assert_eq!(cli.trace_kind.as_deref(), Some("flow_grant"));
+        assert_eq!(cli.trace_kind, Some(TraceEventKind::FlowGrant));
+        let err = parse_strs(&["trace", "query", "t.ndjson", "--kind", "flow_grnat"]).unwrap_err();
+        assert!(err.contains("unknown event kind 'flow_grnat'"), "{err}");
+        assert!(err.contains("valid kinds: sched,"), "{err}");
         assert_eq!(cli.trace_tor, Some(3));
         assert_eq!(cli.trace_flow, Some(17));
         assert_eq!(cli.trace_epochs, Some((10, 20)));

@@ -149,7 +149,9 @@ pub fn execute_with_progress(
 
 /// [`execute_with_progress`] with the flight recorder attached: also
 /// returns the scenario's trace — each engine's NDJSON concatenated in
-/// spec order. `capacity` overrides the per-engine ring size
+/// spec order — and the events its rings dropped, summed over the
+/// engines (the `trace_end` footers carry the same counts). `capacity`
+/// overrides the per-engine ring size
 /// (`--trace-capacity`; `None` = [`metrics::DEFAULT_TRACE_CAPACITY`]) and
 /// shapes only the trace bytes — never the report, hashes or cache keys.
 /// Both the CLI's `--trace` flag and the daemon's job executor call this,
@@ -161,10 +163,11 @@ pub fn execute_traced(
     progress: Option<ProgressSink>,
     workers: usize,
     capacity: Option<usize>,
-) -> (SweepReport, String) {
+) -> (SweepReport, String, u64) {
     let ring = capacity.unwrap_or(metrics::DEFAULT_TRACE_CAPACITY);
     let (report, trace) = execute_inner(compiled, progress, workers, Some(ring));
-    (report, trace.expect("traced run produces a trace"))
+    let (trace, dropped) = trace.expect("traced run produces a trace");
+    (report, trace, dropped)
 }
 
 fn execute_inner(
@@ -172,8 +175,8 @@ fn execute_inner(
     progress: Option<ProgressSink>,
     workers: usize,
     trace: Option<usize>,
-) -> (SweepReport, Option<String>) {
-    let mut traces = trace.map(|_| String::new());
+) -> (SweepReport, Option<(String, u64)>) {
+    let mut traces = trace.map(|_| (String::new(), 0));
     let results = build_runs_traced(compiled, progress, workers, trace)
         .into_iter()
         .enumerate()
@@ -181,8 +184,9 @@ fn execute_inner(
             let timer = crate::profile::start(crate::profile::Stage::Execute);
             let mut out = (run.run)();
             let wall_secs = timer.stop();
-            if let (Some(all), Some(one)) = (traces.as_mut(), out.trace.take()) {
+            if let (Some((all, dropped)), Some((one, d))) = (traces.as_mut(), out.trace.take()) {
                 all.push_str(&one);
+                *dropped += d;
             }
             make_result(compiled, index, run.system, out, wall_secs)
         })

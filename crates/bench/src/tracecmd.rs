@@ -1,11 +1,13 @@
-//! The `paper trace <file.ndjson>` summarizer: turn a flight-recorder
-//! trace (one engine section per `trace_start`/`trace_end` pair, see
-//! `metrics::trace`) into a human-readable digest — per-section event
-//! histogram (top-K, most frequent first), the per-phase convergence
-//! timeline from the `phase` events, and overflow warnings when the ring
-//! dropped events. Pure text in, text out: unit-testable without files.
+//! The `paper trace <file.ndjson>` summarizer: render the sections of a
+//! flight-recorder trace (parsed by `metrics::trace::parse`) as a
+//! human-readable digest — per-section event histogram (top-K, most
+//! frequent first), the per-phase convergence timeline from the `phase`
+//! events, and overflow warnings when the ring dropped events. Pure
+//! sections in, text out: unit-testable without files.
 
-use metrics::Json;
+use std::collections::BTreeMap;
+
+use metrics::trace::{TraceEventKind, TraceSection};
 
 /// How many event kinds the histogram lists per section.
 const TOP_K: usize = 8;
@@ -19,96 +21,15 @@ fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
-/// One engine section of a trace.
-struct Section {
-    system: String,
-    /// `(event name, count)` in first-seen order.
-    histogram: Vec<(String, u64)>,
-    /// `(phase, t_ns, delivered, backlog, partitioned)` from `phase` events.
-    phases: Vec<(u64, u64, u64, u64, u64)>,
-    events: u64,
-    dropped: u64,
-}
-
-/// Summarize flight-recorder NDJSON. Errors name the offending line
-/// (1-based) — traces are machine-written, so any parse failure means the
-/// file is not a trace.
-pub fn summarize(text: &str) -> Result<String, String> {
-    let mut sections: Vec<Section> = Vec::new();
-    let mut current: Option<Section> = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let v = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let event = v
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing \"event\" field", i + 1))?;
-        let get = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
-        match event {
-            "trace_start" => {
-                if let Some(done) = current.take() {
-                    sections.push(done);
-                }
-                current = Some(Section {
-                    system: v
-                        .get("system")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    histogram: Vec::new(),
-                    phases: Vec::new(),
-                    events: 0,
-                    dropped: 0,
-                });
-            }
-            "trace_end" => {
-                let mut done = current
-                    .take()
-                    .ok_or_else(|| format!("line {}: trace_end without trace_start", i + 1))?;
-                done.events = get("events");
-                done.dropped = get("dropped");
-                sections.push(done);
-            }
-            name => {
-                let section = current
-                    .as_mut()
-                    .ok_or_else(|| format!("line {}: event before trace_start", i + 1))?;
-                match section.histogram.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, count)) => *count += 1,
-                    None => section.histogram.push((name.to_string(), 1)),
-                }
-                if name == "phase" {
-                    section.phases.push((
-                        get("phase"),
-                        get("t_ns"),
-                        get("delivered_bytes"),
-                        get("backlog_bytes"),
-                        get("partitioned_tors"),
-                    ));
-                }
-            }
-        }
-    }
-    if let Some(unterminated) = current {
-        return Err(format!(
-            "trace for '{}' has no trace_end line (truncated file?)",
-            unterminated.system
-        ));
-    }
-    if sections.is_empty() {
-        return Err("no trace sections found (is this a --trace output file?)".to_string());
-    }
-    Ok(render(&sections))
-}
-
-fn render(sections: &[Section]) -> String {
+/// Summarize parsed trace sections.
+pub fn render(sections: &[TraceSection]) -> String {
     let mut out = String::new();
     for s in sections {
         out.push_str(&format!(
             "## {} — {} events ({} dropped)\n",
-            s.system, s.events, s.dropped
+            s.system,
+            s.events.len(),
+            s.dropped
         ));
         if s.dropped > 0 {
             out.push_str(&format!(
@@ -116,8 +37,13 @@ fn render(sections: &[Section]) -> String {
                 s.dropped
             ));
         }
-        let mut ranked: Vec<&(String, u64)> = s.histogram.iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
+        for ev in &s.events {
+            *counts.entry(ev.kind.name()).or_insert(0) += 1;
+        }
+        // Most frequent first; the stable sort keeps ties in name order.
+        let mut ranked: Vec<(&str, u64)> = counts.into_iter().collect();
+        ranked.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
         out.push_str("   top events:\n");
         if ranked.is_empty() {
             out.push_str("     (none recorded)\n");
@@ -125,18 +51,26 @@ fn render(sections: &[Section]) -> String {
         for (name, count) in ranked.into_iter().take(TOP_K) {
             out.push_str(&format!("     {count:>8}  {name}\n"));
         }
-        if !s.phases.is_empty() {
+        // `phase` payload: a = phase, b = delivered, c = backlog, d = partitioned ToRs.
+        let phases: Vec<_> = s
+            .events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::Phase)
+            .collect();
+        if !phases.is_empty() {
             out.push_str("   convergence timeline:\n");
             out.push_str("     phase       t_ms     delivered       backlog  part_tors\n");
             let mut prev_delivered = 0u64;
-            for &(phase, t_ns, delivered, backlog, partitioned) in &s.phases {
-                let delta = delivered.saturating_sub(prev_delivered);
-                prev_delivered = delivered;
+            for ev in phases {
+                let delta = ev.b.saturating_sub(prev_delivered);
+                prev_delivered = ev.b;
                 out.push_str(&format!(
-                    "     {phase:>5} {:>10.3} {:>13} {:>13} {partitioned:>10}   (+{} this phase)\n",
-                    t_ns as f64 / 1e6,
-                    fmt_bytes(delivered),
-                    fmt_bytes(backlog),
+                    "     {:>5} {:>10.3} {:>13} {:>13} {:>10}   (+{} this phase)\n",
+                    ev.a,
+                    ev.at as f64 / 1e6,
+                    fmt_bytes(ev.b),
+                    fmt_bytes(ev.c),
+                    ev.d,
                     fmt_bytes(delta),
                 ));
             }
@@ -149,9 +83,14 @@ fn render(sections: &[Section]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metrics::trace::parse;
+
+    fn summarize(text: &str) -> String {
+        render(&parse(text).unwrap())
+    }
 
     const SAMPLE: &str = concat!(
-        "{\"event\":\"trace_start\",\"schema_version\":1,\"system\":\"nego/parallel\",\"capacity\":16384}\n",
+        "{\"event\":\"trace_start\",\"schema_version\":2,\"system\":\"nego/parallel\",\"capacity\":16384}\n",
         "{\"event\":\"sched\",\"epoch\":1,\"t_ns\":5000,\"requests\":4,\"grants\":3,\"accepts\":3}\n",
         "{\"event\":\"sched\",\"epoch\":2,\"t_ns\":10000,\"requests\":2,\"grants\":2,\"accepts\":2}\n",
         "{\"event\":\"control_drop\",\"epoch\":2,\"t_ns\":10000,\"dropped\":1,\"total\":1}\n",
@@ -161,7 +100,7 @@ mod tests {
 
     #[test]
     fn summarizes_histogram_and_timeline() {
-        let out = summarize(SAMPLE).unwrap();
+        let out = summarize(SAMPLE);
         assert!(
             out.contains("nego/parallel — 4 events (0 dropped)"),
             "{out}"
@@ -178,7 +117,7 @@ mod tests {
     #[test]
     fn overflow_warns() {
         let text = SAMPLE.replace("\"events\":4,\"dropped\":0", "\"events\":4,\"dropped\":9");
-        let out = summarize(&text).unwrap();
+        let out = summarize(&text);
         assert!(out.contains("WARNING"), "{out}");
         assert!(out.contains("oldest 9 events"), "{out}");
     }
@@ -186,20 +125,8 @@ mod tests {
     #[test]
     fn multi_section_traces_render_each_engine() {
         let second = SAMPLE.replace("nego/parallel", "oblivious/parallel");
-        let out = summarize(&format!("{SAMPLE}{second}")).unwrap();
+        let out = summarize(&format!("{SAMPLE}{second}"));
         assert!(out.contains("## nego/parallel"), "{out}");
         assert!(out.contains("## oblivious/parallel"), "{out}");
-    }
-
-    #[test]
-    fn garbage_is_rejected_with_line_numbers() {
-        assert!(summarize("not json\n").unwrap_err().contains("line 1"));
-        let err = summarize("{\"event\":\"sched\"}\n").unwrap_err();
-        assert!(err.contains("before trace_start"), "{err}");
-        let err = summarize("").unwrap_err();
-        assert!(err.contains("no trace sections"), "{err}");
-        let truncated = SAMPLE.lines().take(3).collect::<Vec<_>>().join("\n");
-        let err = summarize(&truncated).unwrap_err();
-        assert!(err.contains("no trace_end"), "{err}");
     }
 }

@@ -2,8 +2,9 @@
 //! and `paper trace diff`, shared with the daemon's `GET /jobs/<id>/flows`
 //! endpoint ([`flows_json`] is the single implementation both sides call).
 //!
-//! The input is flight-recorder NDJSON (`metrics::trace`): one engine
-//! section per `trace_start`/`trace_end` pair, one event per line. Queries
+//! The input is flight-recorder NDJSON, read by the one strict parser
+//! `metrics::trace::parse`: one engine section per
+//! `trace_start`/`trace_end` pair, one event per line. Queries
 //! filter events (`--kind`, `--tor`, `--flow`, `--epoch A..B`) and
 //! aggregate them — per-epoch event counts, per-flow span timelines, and
 //! the slowest-N completed flows with their control-message history.
@@ -12,6 +13,9 @@
 //! determinism-gate failure reads as "epoch 41, flow_grant, pair 3→7"
 //! instead of "bytes differ".
 
+use std::collections::BTreeMap;
+
+use metrics::trace::{self, TraceEvent, TraceEventKind, TraceLine, TraceSection};
 use metrics::Json;
 
 /// Epoch rows a text query prints before eliding (the elision is counted,
@@ -19,131 +23,6 @@ use metrics::Json;
 const MAX_EPOCH_ROWS: usize = 64;
 /// Event lines a `--flow` timeline prints before eliding.
 const MAX_TIMELINE_ROWS: usize = 200;
-
-/// One parsed trace event with its raw line retained for display.
-#[derive(Debug, Clone)]
-pub struct Ev {
-    /// The `"event"` field.
-    pub kind: String,
-    /// The `"epoch"` field (slot index for the rotor).
-    pub epoch: u64,
-    /// The parsed line, for field lookups.
-    pub json: Json,
-    /// The raw NDJSON line.
-    pub line: String,
-}
-
-impl Ev {
-    fn field(&self, key: &str) -> Option<u64> {
-        self.json.get(key).and_then(Json::as_u64)
-    }
-
-    /// The flow id, for flow-lifecycle events.
-    pub fn flow(&self) -> Option<u64> {
-        self.field("flow")
-    }
-
-    /// True when the event mentions ToR `tor` (as `tor`, `src` or `dst`).
-    pub fn mentions_tor(&self, tor: u64) -> bool {
-        [self.field("tor"), self.field("src"), self.field("dst")]
-            .into_iter()
-            .flatten()
-            .any(|t| t == tor)
-    }
-}
-
-/// One engine section of a parsed trace.
-#[derive(Debug, Clone)]
-pub struct Section {
-    /// Engine label from the `trace_start` header.
-    pub system: String,
-    /// Events in file order.
-    pub events: Vec<Ev>,
-    /// Ring-overflow count from the `trace_end` footer.
-    pub dropped: u64,
-}
-
-/// A fully parsed trace file.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    /// Engine sections in file order.
-    pub sections: Vec<Section>,
-}
-
-/// Parse flight-recorder NDJSON into sections. Errors name the offending
-/// 1-based line — traces are machine-written, so any failure means the
-/// file is not a trace.
-pub fn parse(text: &str) -> Result<Trace, String> {
-    let mut sections: Vec<Section> = Vec::new();
-    let mut current: Option<Section> = None;
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let v = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let event = v
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing \"event\" field", i + 1))?;
-        match event {
-            "trace_start" => {
-                if let Some(done) = current.take() {
-                    sections.push(done);
-                }
-                current = Some(Section {
-                    system: v
-                        .get("system")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    events: Vec::new(),
-                    dropped: 0,
-                });
-            }
-            "trace_end" => {
-                let mut done = current
-                    .take()
-                    .ok_or_else(|| format!("line {}: trace_end without trace_start", i + 1))?;
-                done.dropped = v.get("dropped").and_then(Json::as_u64).unwrap_or(0);
-                sections.push(done);
-            }
-            kind => {
-                let section = current
-                    .as_mut()
-                    .ok_or_else(|| format!("line {}: event before trace_start", i + 1))?;
-                let epoch = v.get("epoch").and_then(Json::as_u64).unwrap_or(0);
-                section.events.push(Ev {
-                    kind: kind.to_string(),
-                    epoch,
-                    json: v,
-                    line: line.to_string(),
-                });
-            }
-        }
-    }
-    if let Some(unterminated) = current {
-        return Err(format!(
-            "trace for '{}' has no trace_end line (truncated file?)",
-            unterminated.system
-        ));
-    }
-    if sections.is_empty() {
-        return Err("no trace sections found (is this a --trace output file?)".to_string());
-    }
-    Ok(Trace { sections })
-}
-
-/// Sum of ring-overflow drop counts across every `trace_end` footer.
-/// Lenient — lines that do not parse count zero — so the daemon can call
-/// it on any stored trace without a second error path.
-pub fn dropped_total(text: &str) -> u64 {
-    text.lines()
-        .filter(|l| l.contains("\"event\":\"trace_end\""))
-        .filter_map(|l| Json::parse(l).ok())
-        .filter(|v| v.get("event").and_then(Json::as_str) == Some("trace_end"))
-        .filter_map(|v| v.get("dropped").and_then(Json::as_u64))
-        .sum()
-}
 
 // ---------------------------------------------------------------------
 // Per-flow span timelines
@@ -179,47 +58,37 @@ pub struct FlowSpanRow {
 /// Reconstruct per-flow span rows from one section's events, in flow-id
 /// order. Flows are included from their first sighted span event, so a
 /// ring overflow degrades the table instead of emptying it.
-pub fn flow_rows(section: &Section) -> Vec<FlowSpanRow> {
-    let mut rows: Vec<FlowSpanRow> = Vec::new();
-    let mut index_of: Vec<(u64, usize)> = Vec::new(); // sorted by flow id
+pub fn flow_rows(section: &TraceSection) -> Vec<FlowSpanRow> {
+    let mut rows: BTreeMap<u64, FlowSpanRow> = BTreeMap::new();
     for ev in &section.events {
-        let Some(flow) = ev.flow() else { continue };
-        let slot = match index_of.binary_search_by_key(&flow, |&(id, _)| id) {
-            Ok(found) => index_of[found].1,
-            Err(insert) => {
-                rows.push(FlowSpanRow {
-                    flow,
-                    ..FlowSpanRow::default()
-                });
-                index_of.insert(insert, (flow, rows.len() - 1));
-                rows.len() - 1
-            }
-        };
-        let row = &mut rows[slot];
-        match ev.kind.as_str() {
-            "flow_born" => {
+        let Some(flow) = ev.get("flow") else { continue };
+        let row = rows.entry(flow).or_insert_with(|| FlowSpanRow {
+            flow,
+            ..FlowSpanRow::default()
+        });
+        match ev.kind {
+            TraceEventKind::FlowBorn => {
                 row.born = Some(ev.epoch);
-                row.src = ev.field("src").unwrap_or(0);
-                row.dst = ev.field("dst").unwrap_or(0);
-                row.bytes = ev.field("bytes").unwrap_or(0);
+                row.src = ev.get("src").unwrap_or(0);
+                row.dst = ev.get("dst").unwrap_or(0);
+                row.bytes = ev.get("bytes").unwrap_or(0);
             }
-            "flow_request" => row.request = Some(ev.epoch),
-            "flow_grant" => row.grant = Some(ev.epoch),
-            "flow_accept" => row.accept = Some(ev.epoch),
-            "flow_first_tx" => row.first_tx = Some(ev.epoch),
-            "flow_complete" => {
+            TraceEventKind::FlowRequest => row.request = Some(ev.epoch),
+            TraceEventKind::FlowGrant => row.grant = Some(ev.epoch),
+            TraceEventKind::FlowAccept => row.accept = Some(ev.epoch),
+            TraceEventKind::FlowFirstTx => row.first_tx = Some(ev.epoch),
+            TraceEventKind::FlowComplete => {
                 row.complete = Some(ev.epoch);
-                row.fct_ns = ev.field("fct_ns");
+                row.fct_ns = ev.get("fct_ns");
                 if row.born.is_none() {
-                    row.src = ev.field("src").unwrap_or(row.src);
-                    row.dst = ev.field("dst").unwrap_or(row.dst);
+                    row.src = ev.get("src").unwrap_or(row.src);
+                    row.dst = ev.get("dst").unwrap_or(row.dst);
                 }
             }
             _ => {}
         }
     }
-    rows.sort_by_key(|r| r.flow);
-    rows
+    rows.into_values().collect()
 }
 
 /// The slowest `top` completed flows of `rows`, FCT-descending (flow id
@@ -229,6 +98,11 @@ pub fn slowest(rows: &[FlowSpanRow], top: usize) -> Vec<&FlowSpanRow> {
     done.sort_by(|a, b| b.fct_ns.cmp(&a.fct_ns).then(a.flow.cmp(&b.flow)));
     done.truncate(top);
     done
+}
+
+/// The `top` slowest completed flows of `rows` as JSON rows.
+fn slowest_json(rows: &[FlowSpanRow], top: usize) -> Json {
+    Json::Arr(slowest(rows, top).into_iter().map(row_json).collect())
 }
 
 fn row_json(row: &FlowSpanRow) -> Json {
@@ -253,9 +127,8 @@ fn row_json(row: &FlowSpanRow) -> Json {
 /// `paper trace query --top-fct N --json` — one implementation, two
 /// frontends.
 pub fn flows_json(text: &str, top: usize) -> Result<Json, String> {
-    let trace = parse(text)?;
     let mut sections = Vec::new();
-    for section in &trace.sections {
+    for section in &trace::parse(text)? {
         let rows = flow_rows(section);
         let completed = rows.iter().filter(|r| r.fct_ns.is_some()).count();
         let mut s = Json::object();
@@ -263,10 +136,7 @@ pub fn flows_json(text: &str, top: usize) -> Result<Json, String> {
             .push("flows_seen", rows.len() as u64)
             .push("flows_completed", completed as u64)
             .push("dropped_events", section.dropped)
-            .push(
-                "slowest",
-                Json::Arr(slowest(&rows, top).into_iter().map(row_json).collect()),
-            );
+            .push("slowest", slowest_json(&rows, top));
         sections.push(s);
     }
     let mut out = Json::object();
@@ -283,7 +153,7 @@ pub fn flows_json(text: &str, top: usize) -> Result<Json, String> {
 #[derive(Debug, Clone, Default)]
 pub struct QueryOpts {
     /// Keep only events of this kind (`--kind`).
-    pub kind: Option<String>,
+    pub kind: Option<TraceEventKind>,
     /// Keep only events mentioning this ToR (`--tor`).
     pub tor: Option<u64>,
     /// Keep only this flow's lifecycle events (`--flow`).
@@ -297,44 +167,29 @@ pub struct QueryOpts {
 }
 
 impl QueryOpts {
-    fn keeps(&self, ev: &Ev) -> bool {
-        if let Some(kind) = &self.kind {
-            if &ev.kind != kind {
-                return false;
-            }
-        }
-        if let Some(tor) = self.tor {
-            if !ev.mentions_tor(tor) {
-                return false;
-            }
-        }
-        if let Some(flow) = self.flow {
-            if ev.flow() != Some(flow) {
-                return false;
-            }
-        }
-        if let Some((lo, hi)) = self.epochs {
-            if ev.epoch < lo || ev.epoch > hi {
-                return false;
-            }
-        }
-        true
+    fn keeps(&self, ev: &TraceEvent) -> bool {
+        self.kind.is_none_or(|kind| ev.kind == kind)
+            && self.tor.is_none_or(|tor| {
+                ["tor", "src", "dst"]
+                    .iter()
+                    .any(|&k| ev.get(k) == Some(tor))
+            })
+            && self.flow.is_none_or(|flow| ev.get("flow") == Some(flow))
+            && self
+                .epochs
+                .is_none_or(|(lo, hi)| (lo..=hi).contains(&ev.epoch))
     }
 
     fn describe(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(k) = &self.kind {
-            parts.push(format!("kind={k}"));
-        }
-        if let Some(t) = self.tor {
-            parts.push(format!("tor={t}"));
-        }
-        if let Some(f) = self.flow {
-            parts.push(format!("flow={f}"));
-        }
-        if let Some((lo, hi)) = self.epochs {
-            parts.push(format!("epoch={lo}..{hi}"));
-        }
+        let parts: Vec<String> = [
+            self.kind.map(|k| format!("kind={}", k.name())),
+            self.tor.map(|t| format!("tor={t}")),
+            self.flow.map(|f| format!("flow={f}")),
+            self.epochs.map(|(lo, hi)| format!("epoch={lo}..{hi}")),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
         if parts.is_empty() {
             "none".to_string()
         } else {
@@ -347,18 +202,18 @@ impl QueryOpts {
 /// `opts.json`). The output is a pure function of (text, opts) — CI pins
 /// it over a committed golden trace.
 pub fn query(text: &str, opts: &QueryOpts) -> Result<String, String> {
-    let trace = parse(text)?;
+    let sections = trace::parse(text)?;
     if opts.json {
-        return Ok(query_json(&trace, opts).render());
+        return Ok(query_json(&sections, opts).render());
     }
     let mut out = String::new();
     out.push_str(&format!(
         "# trace query — {} section(s), filters: {}\n",
-        trace.sections.len(),
+        sections.len(),
         opts.describe()
     ));
-    for section in &trace.sections {
-        let kept: Vec<&Ev> = section.events.iter().filter(|e| opts.keeps(e)).collect();
+    for section in &sections {
+        let kept: Vec<&TraceEvent> = section.events.iter().filter(|e| opts.keeps(e)).collect();
         out.push_str(&format!(
             "\n## {} — {} of {} events match",
             section.system,
@@ -373,7 +228,7 @@ pub fn query(text: &str, opts: &QueryOpts) -> Result<String, String> {
         let by_epoch = epoch_counts(&kept);
         if !by_epoch.is_empty() {
             out.push_str("   per-epoch event counts:\n");
-            for &(epoch, count) in by_epoch.iter().take(MAX_EPOCH_ROWS) {
+            for (epoch, count) in by_epoch.iter().take(MAX_EPOCH_ROWS) {
                 out.push_str(&format!("     epoch {epoch:>6}: {count}\n"));
             }
             if by_epoch.len() > MAX_EPOCH_ROWS {
@@ -387,7 +242,8 @@ pub fn query(text: &str, opts: &QueryOpts) -> Result<String, String> {
         if opts.flow.is_some() {
             out.push_str("   timeline:\n");
             for ev in kept.iter().take(MAX_TIMELINE_ROWS) {
-                out.push_str(&format!("     {}\n", ev.line));
+                out.push_str("     ");
+                TraceLine::Event(**ev).write_ndjson(&mut out);
             }
             if kept.len() > MAX_TIMELINE_ROWS {
                 out.push_str(&format!(
@@ -432,22 +288,19 @@ fn opt_col(v: Option<u64>) -> String {
     v.map_or_else(|| "-".to_string(), |e| e.to_string())
 }
 
-/// `(epoch, matching event count)` rows, epoch-ascending.
-fn epoch_counts(kept: &[&Ev]) -> Vec<(u64, u64)> {
-    let mut counts: Vec<(u64, u64)> = Vec::new();
+/// Matching event count per epoch, epoch-ascending.
+fn epoch_counts(kept: &[&TraceEvent]) -> BTreeMap<u64, u64> {
+    let mut counts = BTreeMap::new();
     for ev in kept {
-        match counts.binary_search_by_key(&ev.epoch, |&(e, _)| e) {
-            Ok(i) => counts[i].1 += 1,
-            Err(i) => counts.insert(i, (ev.epoch, 1)),
-        }
+        *counts.entry(ev.epoch).or_insert(0) += 1;
     }
     counts
 }
 
-fn query_json(trace: &Trace, opts: &QueryOpts) -> Json {
+fn query_json(parsed: &[TraceSection], opts: &QueryOpts) -> Json {
     let mut sections = Vec::new();
-    for section in &trace.sections {
-        let kept: Vec<&Ev> = section.events.iter().filter(|e| opts.keeps(e)).collect();
+    for section in parsed {
+        let kept: Vec<&TraceEvent> = section.events.iter().filter(|e| opts.keeps(e)).collect();
         let mut s = Json::object();
         s.push("system", section.system.as_str())
             .push("matched", kept.len() as u64)
@@ -463,17 +316,17 @@ fn query_json(trace: &Trace, opts: &QueryOpts) -> Json {
         if opts.flow.is_some() {
             let lines: Vec<Json> = kept
                 .iter()
-                .map(|ev| ev.json.clone())
+                .map(|&&ev| {
+                    let mut line = String::new();
+                    TraceLine::Event(ev).write_ndjson(&mut line);
+                    Json::parse(&line).expect("a rendered trace line is JSON")
+                })
                 .take(MAX_TIMELINE_ROWS)
                 .collect();
             s.push("timeline", Json::Arr(lines));
         }
         if let Some(top) = opts.top_fct {
-            let rows = flow_rows(section);
-            s.push(
-                "slowest",
-                Json::Arr(slowest(&rows, top).into_iter().map(row_json).collect()),
-            );
+            s.push("slowest", slowest_json(&flow_rows(section), top));
         }
         sections.push(s);
     }
@@ -562,20 +415,21 @@ fn describe_line(line: Option<&str>) -> String {
     let Some(line) = line else {
         return "(end of trace)".to_string();
     };
-    let Ok(v) = Json::parse(line) else {
-        return format!("(unparseable) {line}");
-    };
-    let kind = v.get("event").and_then(Json::as_str).unwrap_or("?");
-    let mut desc = format!(
-        "epoch {} {kind}",
-        v.get("epoch").and_then(Json::as_u64).unwrap_or(0)
-    );
-    for key in ["flow", "tor", "src", "dst"] {
-        if let Some(val) = v.get(key).and_then(Json::as_u64) {
-            desc.push_str(&format!(" {key}={val}"));
+    match trace::parse_line(line) {
+        Ok(TraceLine::Event(ev)) => {
+            let mut desc = format!("epoch {} {}", ev.epoch, ev.kind.name());
+            for key in ["flow", "tor", "src", "dst"] {
+                if let Some(val) = ev.get(key) {
+                    desc.push_str(&format!(" {key}={val}"));
+                }
+            }
+            desc
         }
+        // Headers and footers carry no epoch and read as epoch 0.
+        Ok(TraceLine::Start(..)) => "epoch 0 trace_start".to_string(),
+        Ok(TraceLine::End(..)) => "epoch 0 trace_end".to_string(),
+        Err(_) => format!("(unparseable) {line}"),
     }
-    desc
 }
 
 #[cfg(test)]
@@ -599,19 +453,26 @@ mod tests {
 
     #[test]
     fn parses_sections_and_sums_drops() {
-        let t = parse(SAMPLE).unwrap();
-        assert_eq!(t.sections.len(), 1);
-        assert_eq!(t.sections[0].events.len(), 10);
-        assert_eq!(dropped_total(SAMPLE), 0);
+        let t = trace::parse(SAMPLE).unwrap();
+        assert_eq!(t.len(), 1);
+        assert_eq!(t[0].events.len(), 10);
+        assert_eq!(t[0].dropped, 0);
         let overflowed = SAMPLE.replace("\"dropped\":0", "\"dropped\":7");
-        assert_eq!(dropped_total(&overflowed), 7);
-        assert_eq!(dropped_total("not even json\n"), 0);
+        let out = query(&overflowed, &QueryOpts::default()).unwrap();
+        assert!(out.contains("(7 dropped by ring overflow)"), "{out}");
+        let doc = flows_json(&overflowed, 1).unwrap();
+        let section = &doc.get("sections").unwrap().as_array().unwrap()[0];
+        assert_eq!(
+            section.get("dropped_events").and_then(Json::as_u64),
+            Some(7)
+        );
+        assert!(query("not even json\n", &QueryOpts::default()).is_err());
     }
 
     #[test]
     fn flow_rows_reconstruct_timelines_in_id_order() {
-        let t = parse(SAMPLE).unwrap();
-        let rows = flow_rows(&t.sections[0]);
+        let t = trace::parse(SAMPLE).unwrap();
+        let rows = flow_rows(&t[0]);
         assert_eq!(rows.len(), 2);
         let r0 = &rows[0];
         assert_eq!((r0.flow, r0.src, r0.dst, r0.bytes), (0, 1, 2, 5000));
@@ -629,8 +490,8 @@ mod tests {
 
     #[test]
     fn slowest_orders_by_fct_then_id() {
-        let t = parse(SAMPLE).unwrap();
-        let rows = flow_rows(&t.sections[0]);
+        let t = trace::parse(SAMPLE).unwrap();
+        let rows = flow_rows(&t[0]);
         let slow = slowest(&rows, 5);
         assert_eq!(slow.len(), 2);
         assert_eq!(slow[0].flow, 1, "30 µs beats 25 µs");
@@ -659,7 +520,7 @@ mod tests {
     fn query_filters_compose() {
         let q = |opts: QueryOpts| query(SAMPLE, &opts).unwrap();
         let out = q(QueryOpts {
-            kind: Some("flow_born".to_string()),
+            kind: Some(TraceEventKind::FlowBorn),
             ..QueryOpts::default()
         });
         assert!(out.contains("2 of 10 events match"), "{out}");

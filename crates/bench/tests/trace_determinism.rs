@@ -20,6 +20,7 @@ use std::path::PathBuf;
 
 use bench::scenario::{execute_traced, load};
 use bench::traceq;
+use metrics::trace::TraceEventKind;
 
 fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -31,9 +32,9 @@ fn scenarios_dir() -> PathBuf {
 /// Trace one scenario at several worker counts; all byte-identical.
 fn assert_worker_invariant(file: &str) -> String {
     let compiled = load(&scenarios_dir().join(file)).expect("scenario compiles");
-    let (report1, trace1) = execute_traced(&compiled, None, 1, None);
+    let (report1, trace1, _) = execute_traced(&compiled, None, 1, None);
     for workers in [2, 8] {
-        let (report, trace) = execute_traced(&compiled, None, workers, None);
+        let (report, trace, _) = execute_traced(&compiled, None, workers, None);
         assert_eq!(
             trace1, trace,
             "{file}: trace bytes differ between --workers 1 and --workers {workers}"
@@ -110,24 +111,34 @@ fn both_engines_trace_is_worker_invariant() {
     assert!(trace.contains("\"event\":\"fault\""), "{trace}");
     // The oblivious engine has no control plane: its section carries
     // born/first_tx/complete spans but never a negotiation milestone.
-    let parsed = traceq::parse(&trace).expect("trace parses");
+    let parsed = metrics::trace::parse(&trace).expect("trace parses");
+    // A live trace is canonical: parse → render reproduces it byte for byte.
+    let rendered: String = parsed.iter().map(|s| s.render_ndjson()).collect();
+    assert_eq!(rendered, trace, "ci_smoke trace does not round-trip");
     let oblivious = parsed
-        .sections
         .iter()
         .find(|s| s.system.starts_with("oblivious"))
         .expect("oblivious section");
     assert!(
-        oblivious.events.iter().any(|e| e.kind == "flow_complete"),
+        oblivious
+            .events
+            .iter()
+            .any(|e| e.kind == TraceEventKind::FlowComplete),
         "oblivious flows must complete"
     );
-    for absent in ["flow_request", "flow_grant", "flow_accept"] {
+    for absent in [
+        TraceEventKind::FlowRequest,
+        TraceEventKind::FlowGrant,
+        TraceEventKind::FlowAccept,
+    ] {
         assert!(
             oblivious.events.iter().all(|e| e.kind != absent),
-            "oblivious engine has no control plane, found {absent}"
+            "oblivious engine has no control plane, found {}",
+            absent.name()
         );
     }
     // Every completed flow's milestones are causally ordered.
-    for section in &parsed.sections {
+    for section in &parsed {
         for row in traceq::flow_rows(section) {
             let (Some(born), Some(done)) = (row.born, row.complete) else {
                 continue;
@@ -157,8 +168,8 @@ fn both_engines_trace_is_worker_invariant() {
 fn repeated_runs_are_reproducible() {
     // Same scenario, same worker count, fresh engines: identical bytes.
     let compiled = load(&scenarios_dir().join("greedy_tor.json")).expect("scenario compiles");
-    let (_, a) = execute_traced(&compiled, None, 2, None);
-    let (_, b) = execute_traced(&compiled, None, 2, None);
+    let (_, a, _) = execute_traced(&compiled, None, 2, None);
+    let (_, b, _) = execute_traced(&compiled, None, 2, None);
     assert_eq!(a, b);
 }
 
@@ -168,37 +179,38 @@ fn trace_capacity_shapes_only_the_trace() {
     // scenario: drops are declared in the footer, the summary and
     // document stay byte-identical to the default-capacity run.
     let compiled = load(&scenarios_dir().join("greedy_tor.json")).expect("scenario compiles");
-    let (full_report, full) = execute_traced(&compiled, None, 1, None);
-    let (small_report, small) = execute_traced(&compiled, None, 1, Some(1024));
+    let (full_report, full, full_dropped) = execute_traced(&compiled, None, 1, None);
+    let (small_report, small, small_dropped) = execute_traced(&compiled, None, 1, Some(1024));
     assert_eq!(
         bench::scenario::deterministic_document(&full_report),
         bench::scenario::deterministic_document(&small_report),
         "ring capacity must never reach the result document"
     );
-    assert_eq!(
-        traceq::dropped_total(&full),
-        0,
-        "default ring must not overflow"
-    );
+    assert_eq!(full_dropped, 0, "default ring must not overflow");
     assert!(
-        traceq::dropped_total(&small) > 0,
+        small_dropped > 0,
         "1Ki ring must overflow on greedy_tor:\n{}",
         small.lines().last().unwrap_or("")
     );
+    // The recorders' count is the one the footers declare.
+    for (text, dropped) in [(&full, full_dropped), (&small, small_dropped)] {
+        let sections = metrics::trace::parse(text).expect("trace parses");
+        assert_eq!(sections.iter().map(|s| s.dropped).sum::<u64>(), dropped);
+    }
     assert!(
         small.contains("\"capacity\":1024"),
         "header declares the ring size"
     );
     // A capacity-limited trace is still worker-invariant.
-    let (_, small8) = execute_traced(&compiled, None, 8, Some(1024));
+    let (_, small8, _) = execute_traced(&compiled, None, 8, Some(1024));
     assert_eq!(small, small8);
 }
 
 #[test]
 fn diff_of_identical_runs_reports_no_divergence() {
     let compiled = load(&scenarios_dir().join("greedy_tor.json")).expect("scenario compiles");
-    let (_, a) = execute_traced(&compiled, None, 1, None);
-    let (_, b) = execute_traced(&compiled, None, 4, None);
+    let (_, a, _) = execute_traced(&compiled, None, 1, None);
+    let (_, b, _) = execute_traced(&compiled, None, 4, None);
     let outcome = traceq::diff("workers1", &a, "workers4", &b, 3);
     assert!(!outcome.divergent, "{}", outcome.report);
     assert!(outcome.report.contains("identical"), "{}", outcome.report);
@@ -223,8 +235,8 @@ fn diff_pins_a_seed_perturbation_to_its_first_divergent_event() {
         &dir,
     )
     .expect("compiles");
-    let (_, trace_a) = execute_traced(&a, None, 1, None);
-    let (_, trace_b) = execute_traced(&b, None, 1, None);
+    let (_, trace_a, _) = execute_traced(&a, None, 1, None);
+    let (_, trace_b, _) = execute_traced(&b, None, 1, None);
     let outcome = traceq::diff("seed", &trace_a, "seed+1", &trace_b, 3);
     assert!(outcome.divergent, "seed change must diverge the trace");
     assert!(

@@ -15,6 +15,7 @@
 use std::path::PathBuf;
 
 use bench::traceq;
+use metrics::trace::{self, TraceEventKind};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -44,9 +45,12 @@ fn golden_query_output_is_pinned() {
 #[test]
 fn golden_trace_is_self_consistent() {
     let golden = fixture("golden_trace.ndjson");
-    let t = traceq::parse(&golden).expect("golden trace parses strictly");
-    assert_eq!(t.sections.len(), 2, "one section per engine");
-    assert_eq!(traceq::dropped_total(&golden), 0);
+    let t = trace::parse(&golden).expect("golden trace parses strictly");
+    assert_eq!(t.len(), 2, "one section per engine");
+    assert!(t.iter().all(|s| s.dropped == 0));
+    // The fixture is canonical: parse → render reproduces it byte for byte.
+    let rendered: String = t.iter().map(|s| s.render_ndjson()).collect();
+    assert_eq!(rendered, golden, "golden trace does not round-trip");
     // Every event kind in the schema appears somewhere in the golden, so
     // the fixture keeps exercising the full vocabulary.
     for kind in [
@@ -63,12 +67,11 @@ fn golden_trace_is_self_consistent() {
         "flow_first_tx",
         "flow_complete",
     ] {
+        let kind = TraceEventKind::from_name(kind).unwrap();
         assert!(
-            t.sections
-                .iter()
-                .flat_map(|s| &s.events)
-                .any(|e| e.kind == kind),
-            "golden trace lost event kind {kind}"
+            t.iter().flat_map(|s| &s.events).any(|e| e.kind == kind),
+            "golden trace lost event kind {}",
+            kind.name()
         );
     }
     // Self-diff: identical inputs must report no divergence.

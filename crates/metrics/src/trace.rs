@@ -12,10 +12,12 @@
 //! counted in `dropped`, so a trace always holds the most recent window.
 //!
 //! Rendering to NDJSON ([`FlightRecorder::render_ndjson`]) happens once,
-//! after the run, where allocation is fine. The text form is consumed by
-//! `paper scenario --trace`, the daemon's `GET /jobs/{id}/trace` and the
-//! `paper trace` summarizer; its field layout is documented in the README
+//! after the run, where allocation is fine. One schema table defines that
+//! text: the renderer writes it and the strict [`parse`] reads it back for
+//! every `paper trace` frontend. Its layout is documented in the README
 //! "Observability" section and stamped with [`TRACE_SCHEMA_VERSION`].
+
+use std::fmt::Write as _;
 
 use crate::json::Json;
 use crate::phase::PhaseCounters;
@@ -27,75 +29,97 @@ use sim::time::Nanos;
 pub const TRACE_SCHEMA_VERSION: u64 = 2;
 
 /// Default ring capacity (events). Chosen so a daemon retaining traces for
-/// its full job table stays bounded: 16 Ki events × 48 B ≈ 768 KiB per
-/// trace before rendering.
+/// its full job table stays bounded: 16 Ki events × 56 B (a [`TraceEvent`]
+/// is six `u64` words plus the kind byte, padded) = 896 KiB per trace
+/// before rendering.
 pub const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 
-/// What a [`TraceEvent`] records. The three payload words `a`/`b`/`c` (and
-/// `d`) are interpreted per kind — see each variant.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 56);
+
+/// What a [`TraceEvent`] records. Each kind's payload fields are named,
+/// in word order, by its row of the schema table below.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
-    /// Control-plane outcomes for one epoch: `a` = REQUESTs sent, `b` =
-    /// GRANTs issued, `c` = ACCEPTs made (deltas since the previous
-    /// epoch). Emitted only when at least one delta is nonzero.
+    /// Control-plane outcomes for one epoch, as deltas since the previous
+    /// epoch. Emitted only when at least one delta is nonzero.
     Sched,
-    /// Control messages dropped (gray failures): `a` = dropped this epoch,
-    /// `b` = cumulative total.
+    /// Control messages dropped by gray failures, this epoch and in total.
     ControlDrop,
-    /// Fault-detector divergence from ground truth changed: `a` = links
-    /// currently excluded but healthy (false positives), `b` = links down
-    /// but not excluded (false negatives).
+    /// Fault-detector divergence from ground truth changed: links excluded
+    /// but healthy (false positives), links down but not excluded (false
+    /// negatives).
     Detector,
-    /// Scheduled fault activity applied at this epoch: `a` = injected
-    /// fault actions (flap/partition/gray/greedy), `b` = plain link
-    /// fail/repair events, `c` = cumulative total of both.
+    /// Scheduled fault activity applied at this epoch: injected actions
+    /// (flap/partition/gray/greedy), plain link fail/repair events, and
+    /// the cumulative total of both.
     Fault,
-    /// A ToR's queued backlog reached a new high-water mark: `a` = ToR
-    /// index, `b` = backlog bytes. Emitted when the backlog first becomes
-    /// nonzero and thereafter only when it doubles the previous mark, so
-    /// a congested run cannot flood the ring.
+    /// A ToR's queued backlog reached a new high-water mark. Emitted when
+    /// the backlog first becomes nonzero and thereafter only when it
+    /// doubles the previous mark, so a congested run cannot flood the ring.
     Backlog,
-    /// A workload phase boundary passed: `a` = phase index, `b` =
-    /// delivered bytes, `c` = backlog bytes, `d` = partitioned ToRs.
+    /// A workload phase boundary passed.
     Phase,
-    /// A flow arrived at its source ToR: `a` = flow id, `b` = src ToR,
-    /// `c` = dst ToR, `d` = flow bytes.
+    /// A flow arrived at its source ToR.
     FlowBorn,
-    /// First REQUEST covering the flow's (src, dst) pair after its birth:
-    /// `a` = flow id, `b` = src ToR, `c` = dst ToR.
+    /// First REQUEST covering the flow's (src, dst) pair after its birth.
     FlowRequest,
-    /// First GRANT covering the flow's pair: same payload as
-    /// [`TraceEventKind::FlowRequest`].
+    /// First GRANT covering the flow's pair.
     FlowGrant,
-    /// First ACCEPT (scheduled transmission slot) covering the flow's
-    /// pair: same payload as [`TraceEventKind::FlowRequest`].
+    /// First ACCEPT (scheduled transmission slot) covering the flow's pair.
     FlowAccept,
-    /// The flow's first payload bytes were dequeued toward the
-    /// destination: `a` = flow id, `b` = bytes sent so far.
+    /// The flow's first payload bytes were dequeued toward the destination.
     FlowFirstTx,
     /// The flow's last byte was delivered (completion *is* last-packet
-    /// dequeue at the destination ToR): `a` = flow id, `b` = FCT in ns,
-    /// `c` = src ToR, `d` = dst ToR.
+    /// dequeue at the destination ToR); `fct_ns` is its completion time.
     FlowComplete,
 }
 
+/// The trace schema, the one place that knows it: each kind's `"event"`
+/// name and its payload field names in render order — field `i` holds
+/// payload word `i` (`a`..`d`) of the [`TraceEvent`]. The writer
+/// ([`FlightRecorder::render_ndjson`]) and the reader ([`parse`]) both
+/// read this table, so they cannot drift apart.
+#[rustfmt::skip]
+const SCHEMA: [(TraceEventKind, &str, &[&str]); 12] = [
+    (TraceEventKind::Sched, "sched", &["requests", "grants", "accepts"]),
+    (TraceEventKind::ControlDrop, "control_drop", &["dropped", "total"]),
+    (TraceEventKind::Detector, "detector", &["fp_links", "fn_links"]),
+    (TraceEventKind::Fault, "fault", &["injected", "link_events", "total"]),
+    (TraceEventKind::Backlog, "backlog_watermark", &["tor", "bytes"]),
+    (TraceEventKind::Phase, "phase",
+        &["phase", "delivered_bytes", "backlog_bytes", "partitioned_tors"]),
+    (TraceEventKind::FlowBorn, "flow_born", &["flow", "src", "dst", "bytes"]),
+    (TraceEventKind::FlowRequest, "flow_request", &["flow", "src", "dst"]),
+    (TraceEventKind::FlowGrant, "flow_grant", &["flow", "src", "dst"]),
+    (TraceEventKind::FlowAccept, "flow_accept", &["flow", "src", "dst"]),
+    (TraceEventKind::FlowFirstTx, "flow_first_tx", &["flow", "sent_bytes"]),
+    (TraceEventKind::FlowComplete, "flow_complete", &["flow", "fct_ns", "src", "dst"]),
+];
+
 impl TraceEventKind {
+    fn row(self) -> &'static (TraceEventKind, &'static str, &'static [&'static str]) {
+        let row = SCHEMA.iter().find(|row| row.0 == self);
+        row.expect("every kind has a schema row")
+    }
+
     /// The `"event"` field value on the NDJSON line.
     pub fn name(self) -> &'static str {
-        match self {
-            TraceEventKind::Sched => "sched",
-            TraceEventKind::ControlDrop => "control_drop",
-            TraceEventKind::Detector => "detector",
-            TraceEventKind::Fault => "fault",
-            TraceEventKind::Backlog => "backlog_watermark",
-            TraceEventKind::Phase => "phase",
-            TraceEventKind::FlowBorn => "flow_born",
-            TraceEventKind::FlowRequest => "flow_request",
-            TraceEventKind::FlowGrant => "flow_grant",
-            TraceEventKind::FlowAccept => "flow_accept",
-            TraceEventKind::FlowFirstTx => "flow_first_tx",
-            TraceEventKind::FlowComplete => "flow_complete",
-        }
+        self.row().1
+    }
+
+    /// Payload field names in render order; field `i` holds word `i`.
+    fn fields(self) -> &'static [&'static str] {
+        self.row().2
+    }
+
+    /// The kind whose `"event"` name is `name`; the error lists every
+    /// valid name.
+    pub fn from_name(name: &str) -> Result<TraceEventKind, String> {
+        let row = SCHEMA.iter().find(|row| row.1 == name);
+        row.map(|row| row.0).ok_or_else(|| {
+            let valid = SCHEMA.map(|row| row.1).join(", ");
+            format!("unknown event kind '{name}' (valid kinds: {valid})")
+        })
     }
 }
 
@@ -116,6 +140,37 @@ pub struct TraceEvent {
     pub c: u64,
     /// Fourth payload word.
     pub d: u64,
+}
+
+impl TraceEvent {
+    /// An event whose payload words `[a, b, c, d]` hold its schema fields.
+    #[inline]
+    pub fn new(at: Nanos, epoch: u64, kind: TraceEventKind, payload: [u64; 4]) -> TraceEvent {
+        let [a, b, c, d] = payload;
+        TraceEvent {
+            at,
+            epoch,
+            kind,
+            a,
+            b,
+            c,
+            d,
+        }
+    }
+
+    /// The NDJSON fields after `"event"`, in render order: `epoch`,
+    /// `t_ns`, then the kind's payload fields.
+    pub(crate) fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let payload = [self.a, self.b, self.c, self.d];
+        [("epoch", self.epoch), ("t_ns", self.at)]
+            .into_iter()
+            .chain(self.kind.fields().iter().copied().zip(payload))
+    }
+
+    /// The value of field `key`, when this kind carries it.
+    pub fn get(&self, key: &str) -> Option<u64> {
+        self.fields().find(|&(k, _)| k == key).map(|(_, v)| v)
+    }
 }
 
 /// Cumulative engine counters the recorder diffs against between epochs.
@@ -166,11 +221,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Recorder with [`DEFAULT_TRACE_CAPACITY`].
-    pub fn new(n_tors: usize) -> FlightRecorder {
-        FlightRecorder::with_capacity(DEFAULT_TRACE_CAPACITY, n_tors)
-    }
-
     /// Events currently held, oldest first.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -215,38 +265,29 @@ impl FlightRecorder {
             now.accepts - self.last.accepts,
         );
         if dr | dg | da != 0 {
-            self.record(TraceEvent {
+            self.record(TraceEvent::new(
                 at,
                 epoch,
-                kind: TraceEventKind::Sched,
-                a: dr,
-                b: dg,
-                c: da,
-                d: 0,
-            });
+                TraceEventKind::Sched,
+                [dr, dg, da, 0],
+            ));
         }
         let dd = now.control_dropped - self.last.control_dropped;
         if dd != 0 {
-            self.record(TraceEvent {
+            self.record(TraceEvent::new(
                 at,
                 epoch,
-                kind: TraceEventKind::ControlDrop,
-                a: dd,
-                b: now.control_dropped,
-                c: 0,
-                d: 0,
-            });
+                TraceEventKind::ControlDrop,
+                [dd, now.control_dropped, 0, 0],
+            ));
         }
         if now.detector_fp != self.last.detector_fp || now.detector_fn != self.last.detector_fn {
-            self.record(TraceEvent {
+            self.record(TraceEvent::new(
                 at,
                 epoch,
-                kind: TraceEventKind::Detector,
-                a: now.detector_fp,
-                b: now.detector_fn,
-                c: 0,
-                d: 0,
-            });
+                TraceEventKind::Detector,
+                [now.detector_fp, now.detector_fn, 0, 0],
+            ));
         }
         self.last = now;
     }
@@ -258,15 +299,12 @@ impl FlightRecorder {
     #[inline]
     pub fn fault_applied(&mut self, at: Nanos, epoch: u64, injected: u64, links: u64, total: u64) {
         if injected | links != 0 {
-            self.record(TraceEvent {
+            self.record(TraceEvent::new(
                 at,
                 epoch,
-                kind: TraceEventKind::Fault,
-                a: injected,
-                b: links,
-                c: total,
-                d: 0,
-            });
+                TraceEventKind::Fault,
+                [injected, links, total, 0],
+            ));
         }
     }
 
@@ -278,15 +316,12 @@ impl FlightRecorder {
         let mark = &mut self.watermarks[tor];
         if bytes > 0 && (*mark == 0 || bytes >= *mark * 2) {
             *mark = bytes;
-            self.record(TraceEvent {
+            self.record(TraceEvent::new(
                 at,
                 epoch,
-                kind: TraceEventKind::Backlog,
-                a: tor as u64,
-                b: bytes,
-                c: 0,
-                d: 0,
-            });
+                TraceEventKind::Backlog,
+                [tor as u64, bytes, 0, 0],
+            ));
         }
     }
 
@@ -295,15 +330,17 @@ impl FlightRecorder {
     /// [`crate::PhaseProbe`] snapshot carries.
     #[inline]
     pub fn phase_boundary(&mut self, at: Nanos, epoch: u64, phase: u64, c: &PhaseCounters) {
-        self.record(TraceEvent {
+        self.record(TraceEvent::new(
             at,
             epoch,
-            kind: TraceEventKind::Phase,
-            a: phase,
-            b: c.delivered_bytes,
-            c: c.backlog_bytes,
-            d: c.partitioned_tors,
-        });
+            TraceEventKind::Phase,
+            [
+                phase,
+                c.delivered_bytes,
+                c.backlog_bytes,
+                c.partitioned_tors,
+            ],
+        ));
     }
 
     /// Iterate events oldest-first (accounting for ring wrap).
@@ -322,78 +359,183 @@ impl FlightRecorder {
     /// dropped counts. Called once after the run — allocation is fine
     /// here.
     pub fn render_ndjson(&self, system: &str) -> String {
-        let mut out = String::new();
-        let mut start = Json::object();
-        start
-            .push("event", "trace_start")
-            .push("schema_version", TRACE_SCHEMA_VERSION)
-            .push("system", system)
-            .push("capacity", self.events.capacity() as u64);
-        out.push_str(&start.render_compact());
-        out.push('\n');
-        for ev in self.events() {
-            let mut line = Json::object();
-            line.push("event", ev.kind.name())
-                .push("epoch", ev.epoch)
-                .push("t_ns", ev.at);
-            match ev.kind {
-                TraceEventKind::Sched => {
-                    line.push("requests", ev.a)
-                        .push("grants", ev.b)
-                        .push("accepts", ev.c);
-                }
-                TraceEventKind::ControlDrop => {
-                    line.push("dropped", ev.a).push("total", ev.b);
-                }
-                TraceEventKind::Detector => {
-                    line.push("fp_links", ev.a).push("fn_links", ev.b);
-                }
-                TraceEventKind::Fault => {
-                    line.push("injected", ev.a)
-                        .push("link_events", ev.b)
-                        .push("total", ev.c);
-                }
-                TraceEventKind::Backlog => {
-                    line.push("tor", ev.a).push("bytes", ev.b);
-                }
-                TraceEventKind::Phase => {
-                    line.push("phase", ev.a)
-                        .push("delivered_bytes", ev.b)
-                        .push("backlog_bytes", ev.c)
-                        .push("partitioned_tors", ev.d);
-                }
-                TraceEventKind::FlowBorn => {
-                    line.push("flow", ev.a)
-                        .push("src", ev.b)
-                        .push("dst", ev.c)
-                        .push("bytes", ev.d);
-                }
-                TraceEventKind::FlowRequest
-                | TraceEventKind::FlowGrant
-                | TraceEventKind::FlowAccept => {
-                    line.push("flow", ev.a).push("src", ev.b).push("dst", ev.c);
-                }
-                TraceEventKind::FlowFirstTx => {
-                    line.push("flow", ev.a).push("sent_bytes", ev.b);
-                }
-                TraceEventKind::FlowComplete => {
-                    line.push("flow", ev.a)
-                        .push("fct_ns", ev.b)
-                        .push("src", ev.c)
-                        .push("dst", ev.d);
-                }
-            }
-            out.push_str(&line.render_compact());
-            out.push('\n');
+        TraceSection {
+            system: system.to_string(),
+            capacity: self.events.capacity() as u64,
+            events: self.events().copied().collect(),
+            dropped: self.dropped,
         }
-        let mut end = Json::object();
-        end.push("event", "trace_end")
-            .push("system", system)
-            .push("events", self.events.len() as u64)
-            .push("dropped", self.dropped);
-        out.push_str(&end.render_compact());
-        out.push('\n');
+        .render_ndjson()
+    }
+}
+
+/// One engine section of a trace, as [`parse`] reads it back. The held
+/// count of the `trace_end` footer is `events.len()`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceSection {
+    /// Engine label from the `trace_start` header.
+    pub system: String,
+    /// Ring capacity from the header.
+    pub capacity: u64,
+    /// Held events, oldest first.
+    pub events: Vec<TraceEvent>,
+    /// Ring-overflow count from the footer.
+    pub dropped: u64,
+}
+
+impl TraceSection {
+    /// The section's NDJSON: the `trace_start` header, one line per event,
+    /// and the `trace_end` footer declaring the held and dropped counts.
+    pub fn render_ndjson(&self) -> String {
+        let mut out = String::new();
+        TraceLine::Start(self.system.clone(), self.capacity).write_ndjson(&mut out);
+        for &ev in &self.events {
+            TraceLine::Event(ev).write_ndjson(&mut out);
+        }
+        let held = self.events.len() as u64;
+        TraceLine::End(self.system.clone(), held, self.dropped).write_ndjson(&mut out);
         out
+    }
+}
+
+/// One trace line, typed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceLine {
+    /// `trace_start`, opening an engine section: `(system, capacity)`.
+    Start(String, u64),
+    /// One recorded event.
+    Event(TraceEvent),
+    /// `trace_end`, closing it: `(system, held events, dropped)`.
+    End(String, u64, u64),
+}
+
+impl TraceLine {
+    /// Append the line's NDJSON, newline included — the one renderer of
+    /// every trace line. Event names and field keys are plain identifiers,
+    /// so event lines are written directly, without escaping.
+    pub fn write_ndjson(&self, out: &mut String) {
+        let mut line = Json::object();
+        match self {
+            TraceLine::Event(ev) => {
+                let _ = write!(out, "{{\"event\":\"{}\"", ev.kind.name());
+                for (key, value) in ev.fields() {
+                    let _ = write!(out, ",\"{key}\":{value}");
+                }
+                return out.push_str("}\n");
+            }
+            TraceLine::Start(system, capacity) => line
+                .push("event", "trace_start")
+                .push("schema_version", TRACE_SCHEMA_VERSION)
+                .push("system", system.as_str())
+                .push("capacity", *capacity),
+            TraceLine::End(system, events, dropped) => line
+                .push("event", "trace_end")
+                .push("system", system.as_str())
+                .push("events", *events)
+                .push("dropped", *dropped),
+        };
+        out.push_str(&line.render_compact());
+        out.push('\n');
+    }
+}
+
+/// Parse one trace line strictly. Every integer field its kind carries
+/// must be present, a `trace_start` must carry
+/// [`TRACE_SCHEMA_VERSION`], and the line must be exactly what the
+/// renderer writes for what was read — which rejects extra, reordered or
+/// reformatted fields.
+pub fn parse_line(line: &str) -> Result<TraceLine, String> {
+    let v = Json::parse(line)?;
+    let Some(event) = v.get("event").and_then(Json::as_str) else {
+        return Err("missing \"event\" field".to_string());
+    };
+    let num = |key: &str| {
+        v.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{event} has no unsigned integer \"{key}\""))
+    };
+    // A missing or mistyped `system` reads as "" and fails the canonical
+    // comparison below.
+    let system = String::from(v.get("system").and_then(Json::as_str).unwrap_or(""));
+    let parsed = match event {
+        "trace_start" => match num("schema_version")? {
+            TRACE_SCHEMA_VERSION => TraceLine::Start(system, num("capacity")?),
+            other => {
+                return Err(format!(
+                    "unsupported schema_version {other} (want {TRACE_SCHEMA_VERSION})"
+                ))
+            }
+        },
+        "trace_end" => TraceLine::End(system, num("events")?, num("dropped")?),
+        name => {
+            let kind = TraceEventKind::from_name(name)?;
+            let mut payload = [0u64; 4];
+            for (word, key) in payload.iter_mut().zip(kind.fields()) {
+                *word = num(key)?;
+            }
+            TraceLine::Event(TraceEvent::new(num("t_ns")?, num("epoch")?, kind, payload))
+        }
+    };
+    let mut canonical = String::new();
+    parsed.write_ndjson(&mut canonical);
+    if canonical.strip_suffix('\n') != Some(line) {
+        return Err(format!(
+            "not the canonical {event} line {}",
+            canonical.trim_end()
+        ));
+    }
+    Ok(parsed)
+}
+
+/// Parse flight-recorder NDJSON into its engine sections. Strict: every
+/// line must pass [`parse_line`], and sections must nest — `trace_start`,
+/// its events, then a `trace_end` naming the same system and declaring
+/// exactly the section's event count. Errors name the offending 1-based
+/// line: traces are machine-written, so any failure means the file is
+/// not a trace this build wrote.
+pub fn parse(text: &str) -> Result<Vec<TraceSection>, String> {
+    let mut sections = Vec::new();
+    let mut open: Option<TraceSection> = None;
+    for (i, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
+        let at = |e: &str| format!("line {}: {e}", i + 1);
+        match (parse_line(line).map_err(|e| at(&e))?, open.as_mut()) {
+            (TraceLine::Start(system, capacity), None) => {
+                open = Some(TraceSection {
+                    system,
+                    capacity,
+                    events: Vec::new(),
+                    dropped: 0,
+                });
+            }
+            (TraceLine::Event(ev), Some(section)) => section.events.push(ev),
+            (TraceLine::End(system, events, dropped), Some(section)) => {
+                let held = section.events.len() as u64;
+                if system != section.system || events != held {
+                    return Err(at(&format!(
+                        "trace_end for '{system}' declares {events} events; \
+                         the section of '{}' holds {held}",
+                        section.system
+                    )));
+                }
+                section.dropped = dropped;
+                sections.extend(open.take());
+            }
+            (TraceLine::Start(..), Some(_)) => {
+                return Err(at("trace_start inside an open section"))
+            }
+            (TraceLine::End(..), None) => return Err(at("trace_end without trace_start")),
+            (TraceLine::Event(_), None) => return Err(at("event before trace_start")),
+        }
+    }
+    match open {
+        Some(s) => Err(format!(
+            "trace for '{}' has no trace_end line (truncated file?)",
+            s.system
+        )),
+        None if sections.is_empty() => {
+            Err("no trace sections found (is this a --trace output file?)".to_string())
+        }
+        None => Ok(sections),
     }
 }
 
@@ -497,15 +639,12 @@ impl FlowSpans {
         self.arrival[i] = arrival;
         // lint: allow(H001) push into capacity preallocated for every flow
         self.live.push(id);
-        rec.record(TraceEvent {
+        rec.record(TraceEvent::new(
             at,
             epoch,
-            kind: TraceEventKind::FlowBorn,
-            a: id as u64,
-            b: src as u64,
-            c: dst as u64,
-            d: bytes,
-        });
+            TraceEventKind::FlowBorn,
+            [id as u64, src as u64, dst as u64, bytes],
+        ));
     }
 
     // lint: hot-path
@@ -570,40 +709,31 @@ impl FlowSpans {
             for (bit, stamp, kind) in steps {
                 if self.flags[i] & bit == 0 && stamp == epoch {
                     self.flags[i] |= bit;
-                    rec.record(TraceEvent {
+                    rec.record(TraceEvent::new(
                         at,
                         epoch,
                         kind,
-                        a: id as u64,
-                        b: src as u64,
-                        c: dst as u64,
-                        d: 0,
-                    });
+                        [id as u64, src as u64, dst as u64, 0],
+                    ));
                 }
             }
             let (remaining, completion) = flow_state(id);
             if self.flags[i] & milestone::FIRST_TX == 0 && remaining < self.bytes[i] {
                 self.flags[i] |= milestone::FIRST_TX;
-                rec.record(TraceEvent {
+                rec.record(TraceEvent::new(
                     at,
                     epoch,
-                    kind: TraceEventKind::FlowFirstTx,
-                    a: id as u64,
-                    b: self.bytes[i] - remaining,
-                    c: 0,
-                    d: 0,
-                });
+                    TraceEventKind::FlowFirstTx,
+                    [id as u64, self.bytes[i] - remaining, 0, 0],
+                ));
             }
             if let Some(done) = completion {
-                rec.record(TraceEvent {
+                rec.record(TraceEvent::new(
                     at,
                     epoch,
-                    kind: TraceEventKind::FlowComplete,
-                    a: id as u64,
-                    b: done - self.arrival[i],
-                    c: src as u64,
-                    d: dst as u64,
-                });
+                    TraceEventKind::FlowComplete,
+                    [id as u64, done - self.arrival[i], src as u64, dst as u64],
+                ));
                 continue; // retired: drop from the live list
             }
             self.live[w] = id;
@@ -744,6 +874,97 @@ mod tests {
         let end = Json::parse(lines[4]).unwrap();
         assert_eq!(end.get("events").and_then(Json::as_u64), Some(3));
         assert_eq!(end.get("dropped").and_then(Json::as_u64), Some(0));
+        // The one parser reads back exactly what the renderer wrote.
+        let sections = parse(&text).unwrap();
+        assert_eq!(sections.len(), 1);
+        assert_eq!(sections[0].events, r.events().copied().collect::<Vec<_>>());
+        assert_eq!(sections[0].render_ndjson(), text);
+    }
+
+    const SAMPLE: &str = concat!(
+        "{\"event\":\"trace_start\",\"schema_version\":2,\"system\":\"nego/parallel\",\"capacity\":16384}\n",
+        "{\"event\":\"sched\",\"epoch\":1,\"t_ns\":5000,\"requests\":4,\"grants\":3,\"accepts\":3}\n",
+        "{\"event\":\"sched\",\"epoch\":2,\"t_ns\":10000,\"requests\":2,\"grants\":2,\"accepts\":2}\n",
+        "{\"event\":\"control_drop\",\"epoch\":2,\"t_ns\":10000,\"dropped\":1,\"total\":1}\n",
+        "{\"event\":\"flow_complete\",\"epoch\":3,\"t_ns\":15000,\"flow\":0,\"fct_ns\":900,\"src\":1,\"dst\":2}\n",
+        "{\"event\":\"trace_end\",\"system\":\"nego/parallel\",\"events\":4,\"dropped\":0}\n",
+    );
+
+    #[test]
+    fn garbage_is_rejected_with_line_numbers() {
+        assert_eq!(parse(SAMPLE).unwrap()[0].render_ndjson(), SAMPLE);
+        let err = |text: &str| parse(text).unwrap_err();
+        assert!(err("not json\n").contains("line 1"));
+        // An incomplete event line fails on its fields; a complete one
+        // before any header fails on its position.
+        let e = err("{\"event\":\"sched\"}\n");
+        assert!(
+            e.starts_with("line 1: sched has no unsigned integer"),
+            "{e}"
+        );
+        let e = err(SAMPLE.lines().nth(1).unwrap());
+        assert!(e.contains("before trace_start"), "{e}");
+        let e = err("");
+        assert!(e.contains("no trace sections"), "{e}");
+        let truncated = SAMPLE.lines().take(3).collect::<Vec<_>>().join("\n");
+        let e = err(&truncated);
+        assert!(e.contains("no trace_end"), "{e}");
+        // Well-formed JSON that breaks the schema, each as one edit of
+        // SAMPLE `(from, to, line, expected error)`: a renamed kind; a
+        // missing, extra or mistyped payload field; a foreign schema
+        // version; a footer whose count disagrees with its lines, edited
+        // or after a line was spliced out.
+        let control_drop = SAMPLE.lines().nth(3).unwrap();
+        for (from, to, line, expect) in [
+            (
+                "\"sched\",\"epoch\":2",
+                "\"shed\",\"epoch\":2",
+                3,
+                "unknown event kind 'shed' (valid kinds: sched,",
+            ),
+            (
+                ",\"fct_ns\":900",
+                "",
+                5,
+                "flow_complete has no unsigned integer \"fct_ns\"",
+            ),
+            (
+                "\"dst\":2}",
+                "\"dst\":2,\"hops\":1}",
+                5,
+                "not the canonical flow_complete line {\"event\"",
+            ),
+            (
+                "\"requests\":4",
+                "\"requests\":\"4\"",
+                2,
+                "sched has no unsigned integer \"requests\"",
+            ),
+            (
+                "\"schema_version\":2",
+                "\"schema_version\":9",
+                1,
+                "unsupported schema_version 9 (want 2)",
+            ),
+            (
+                "\"events\":4",
+                "\"events\":5",
+                6,
+                "declares 5 events; the section of 'nego/parallel' holds 4",
+            ),
+            (
+                control_drop,
+                "",
+                6,
+                "declares 4 events; the section of 'nego/parallel' holds 3",
+            ),
+        ] {
+            let e = err(&SAMPLE.replacen(from, to, 1));
+            assert!(
+                e.starts_with(&format!("line {line}: ")) && e.contains(expect),
+                "{e}"
+            );
+        }
     }
 
     #[test]

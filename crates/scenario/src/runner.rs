@@ -44,9 +44,10 @@ pub struct ScenarioRunOutput {
     pub series: Vec<PhaseStat>,
     /// The run's text block (the per-phase table).
     pub rendered: String,
-    /// Flight-recorder NDJSON (only when the run was built with tracing;
-    /// byte-identical at any worker count, like every other output).
-    pub trace: Option<String>,
+    /// Flight-recorder NDJSON and the ring's overflow count (only when
+    /// the run was built with tracing; byte-identical at any worker
+    /// count, like every other output).
+    pub trace: Option<(String, u64)>,
 }
 
 /// One schedulable scenario run.
@@ -214,7 +215,7 @@ fn run_engine(
         match_ratio,
         series,
         rendered,
-        trace: flight.map(|r| r.render_ndjson(system)),
+        trace: flight.map(|r| (r.render_ndjson(system), r.dropped())),
     }
 }
 

@@ -300,7 +300,7 @@ fn run_traced_scenario(cli: &cli::Cli) {
             c.spec.name,
             c.spec.engines.len()
         );
-        let (report, trace) = scenario::execute_traced(c, None, cli.workers, cli.trace_capacity);
+        let (report, trace, _) = scenario::execute_traced(c, None, cli.workers, cli.trace_capacity);
         let out_path = if multi {
             suffixed_trace_path(trace_path, &c.spec.name)
         } else {
@@ -359,14 +359,15 @@ fn run_trace_cmd(cmd: &cli::TraceCmd, cli: &cli::Cli) {
     match cmd {
         cli::TraceCmd::Summary(path) => {
             let text = read(path);
-            match bench::tracecmd::summarize(&text) {
-                Ok(summary) => print!("{summary}"),
+            let sections = match metrics::trace::parse(&text) {
+                Ok(sections) => sections,
                 Err(error) => {
                     eprintln!("error: {}: {error}", path.display());
                     std::process::exit(1);
                 }
-            }
-            let dropped = bench::traceq::dropped_total(&text);
+            };
+            print!("{}", bench::tracecmd::render(&sections));
+            let dropped: u64 = sections.iter().map(|s| s.dropped).sum();
             if cli.trace_strict && dropped > 0 {
                 eprintln!(
                     "error: {}: {dropped} event(s) dropped by ring overflow (--strict)",
@@ -378,7 +379,7 @@ fn run_trace_cmd(cmd: &cli::TraceCmd, cli: &cli::Cli) {
         cli::TraceCmd::Query(path) => {
             let text = read(path);
             let opts = bench::traceq::QueryOpts {
-                kind: cli.trace_kind.clone(),
+                kind: cli.trace_kind,
                 tor: cli.trace_tor,
                 flow: cli.trace_flow,
                 epochs: cli.trace_epochs,

@@ -517,7 +517,7 @@ fn execute_job(state: &Arc<ServerState>, job: &Arc<Job>, compiled: &CompiledScen
         // CLI's `--trace` runs the exact same function, the daemon's
         // trace and an offline trace of the same scenario are
         // byte-identical by construction.
-        let (report, trace) = execute_traced(
+        let (report, trace, dropped) = execute_traced(
             compiled,
             Some(sink),
             state.config.workers,
@@ -534,13 +534,11 @@ fn execute_job(state: &Arc<ServerState>, job: &Arc<Job>, compiled: &CompiledScen
             // failed job or a torn entry.
             log_error!("[cache: could not store {}: {error}]", hex(job.hash));
         }
-        (document, trace)
+        (document, trace, dropped)
     }));
     match outcome {
-        Ok((document, trace)) => {
-            state
-                .trace_dropped
-                .fetch_add(bench::traceq::dropped_total(&trace), Ordering::Relaxed);
+        Ok((document, trace, dropped)) => {
+            state.trace_dropped.fetch_add(dropped, Ordering::Relaxed);
             // Trace first, then the terminal transition: a follower that
             // observes Done must find the trace already attached.
             job.set_trace(Arc::new(trace));

@@ -211,26 +211,6 @@ impl DestQueue {
         None
     }
 
-    /// Dequeue up to `max_packets` packets of at most `max_payload` bytes
-    /// each, appending to `out` (not cleared): one call pulls a full
-    /// scheduled phase's worth of packets for a matched port, amortizing
-    /// the per-packet dispatch the epoch engine used to pay slot by slot.
-    /// Equivalent to calling [`DestQueue::dequeue_packet`] `max_packets`
-    /// times and stopping at the first `None`.
-    pub fn dequeue_packets_into(
-        &mut self,
-        max_payload: u64,
-        max_packets: usize,
-        out: &mut Vec<Packet>,
-    ) {
-        for _ in 0..max_packets {
-            let Some(packet) = self.dequeue_packet(max_payload) else {
-                break;
-            };
-            out.push(packet);
-        }
-    }
-
     /// Enqueue relay-forwarded bytes at the lowest priority level (the
     /// intermediate ToR side of traffic-aware selective relay; relayed data
     /// never outranks the intermediate's own traffic).
@@ -369,37 +349,6 @@ mod tests {
         q.enqueue_flow(1, 20_000, 42, true, TH);
         assert_eq!(q.hol_enqueued(0), Some(42));
         assert_eq!(q.hol_enqueued(2), Some(42));
-    }
-
-    #[test]
-    fn batch_dequeue_equals_repeated_single_dequeues() {
-        let build = || {
-            let mut q = DestQueue::new();
-            q.enqueue_flow(1, 12_000, 0, true, TH);
-            q.enqueue_flow(2, 500, 1, true, TH);
-            q.enqueue_relay(3, 4_000, 2);
-            q.enqueue_flow(4, 27, 3, true, TH);
-            q
-        };
-        for limit in [0usize, 1, 5, 100] {
-            let mut a = build();
-            let mut b = build();
-            let mut batch = Vec::new();
-            a.dequeue_packets_into(1_115, limit, &mut batch);
-            let mut single = Vec::new();
-            for _ in 0..limit {
-                match b.dequeue_packet(1_115) {
-                    Some(p) => single.push(p),
-                    None => break,
-                }
-            }
-            assert_eq!(batch, single, "limit {limit}");
-            assert_eq!(a.total_bytes(), b.total_bytes());
-            assert_eq!(a.relayed_bytes(), b.relayed_bytes());
-            for level in 0..PRIORITY_LEVELS {
-                assert_eq!(a.level_bytes(level), b.level_bytes(level));
-            }
-        }
     }
 
     #[test]

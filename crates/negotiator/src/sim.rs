@@ -42,7 +42,7 @@
 use crate::config::NegotiatorConfig;
 use crate::fault::FaultDetector;
 use crate::matching::{Accept, AcceptArbiter, Grant, GrantArbiter};
-use crate::queues::{DestQueue, Packet};
+use crate::queues::DestQueue;
 use crate::stats::SchedStats;
 use crate::variants::greedy;
 use crate::variants::informative;
@@ -111,13 +111,15 @@ pub struct SimOptions {
     /// speedup cannot overrun ToR memory. `None` (the paper's evaluation
     /// setting) treats ToRs as sinks.
     pub host_buffer_bytes: Option<u64>,
-    /// Intra-run worker threads for the per-ToR phase work (`--workers`).
-    /// ToRs are partitioned into contiguous shards (`sim::shard`) and
-    /// shard results merge in fixed shard order, so any value — including
-    /// the default `1`, a single shard on the caller's thread — produces
-    /// byte-identical reports. Selective-relay runs ignore the knob and
-    /// use one shard: relay admission is order-dependent across ToRs
-    /// (see `sim/parallel.rs`).
+    /// Intra-run worker threads for the per-ToR phase work (`--workers`):
+    /// ACCEPT, GRANT, REQUEST and both data phases, in healthy and
+    /// failure epochs alike. ToRs are partitioned into contiguous shards
+    /// (`sim::shard`) and shard results merge in fixed shard order, so
+    /// any value — including the default `1`, a single shard on the
+    /// caller's thread — produces byte-identical reports. Selective-relay
+    /// runs ignore the knob and use one shard: relay admission is
+    /// order-dependent across ToRs, and a relay transmission enqueues at
+    /// the intermediate ToR mid-phase (see `sim/parallel.rs`).
     pub workers: usize,
 }
 
@@ -193,8 +195,6 @@ struct SimScratch {
     relay_reqs: Vec<RelayRequest>,
     /// Swapped against `inbox.relay_grant[src]`.
     relay_grants: Vec<(usize, usize, usize, u64)>,
-    /// Batched scheduled-phase packets of one matched port.
-    packets: Vec<Packet>,
 }
 
 /// This epoch's outgoing scheduling messages, indexed `src * n + dst`
@@ -279,6 +279,32 @@ impl Receivers {
     }
 }
 
+/// The data held per source ToR, row-major `src * n + dst` unless
+/// noted: the per-destination queues and the mirrors every enqueue and
+/// dequeue keeps in step. Both data phases shard it by source row
+/// (`parallel::SrcRows`), which is also the one flow-injection path.
+struct DataState {
+    n: usize,
+    s: usize,
+    /// PIAS priority queues on, and their byte thresholds.
+    pias: bool,
+    pias_th: [u64; 2],
+    queues: Vec<DestQueue>,
+    /// Dense mirror of every queue's total bytes: the REQUEST scan and
+    /// the piggyback probe read this contiguous array instead of the
+    /// queue structs.
+    queue_bytes: Vec<u64>,
+    /// Lifetime enqueued bytes (stateful requests report the growth).
+    enqueued_total: Vec<u64>,
+    /// One per ToR (selective relay's forwarding buffers).
+    relay_buffers: Vec<RelayBuffer>,
+    /// Per-port direct-backlog sums (selective relay only), `tor * s +
+    /// port`, so the relay steps' busy-port checks are O(1), not O(n).
+    backlog_by_port: Vec<u64>,
+    /// Thin-clos pair port of `(src, dst)` (selective relay only).
+    pair_port_tbl: Vec<u8>,
+}
+
 /// The full NegotiaToR simulator.
 pub struct NegotiatorSim {
     cfg: NegotiatorConfig,
@@ -293,12 +319,11 @@ pub struct NegotiatorSim {
     epoch_len: Nanos,
     pb_payload: u64,
     sched_payload: u64,
-    pias_th: [u64; 2],
     /// Bytes one port can move in one scheduled phase (grant debit unit).
     epoch_capacity: u64,
 
     // Per-ToR state.
-    queues: Vec<DestQueue>, // src * n + dst
+    data: DataState,
     grant_arbs: Vec<GrantArbiter>,
     accept_arbs: Vec<AcceptArbiter>,
 
@@ -321,27 +346,14 @@ pub struct NegotiatorSim {
 
     // Variant state.
     matrices: Vec<DemandMatrix>, // stateful (empty otherwise)
-    enqueued_total: Vec<u64>,    // src * n + dst, lifetime enqueued bytes
     reported_total: Vec<u64>,    // stateful: bytes already reported
     iter_pending: VecDeque<Vec<Vec<Accept>>>, // iterative activation queue
 
     // Selective relay state.
     relay_policy: RelayPolicy,
-    relay_buffers: Vec<RelayBuffer>,
     relay_req_dirty: Vec<u32>,
     relay_grant_dirty: Vec<u32>,
     active_relay: Vec<Option<(usize, usize, u64)>>, // src*s+port -> (via, final, vol left)
-
-    // Dense mirror of every queue's total bytes (src * n + dst), updated
-    // on each enqueue/dequeue: the REQUEST scan and the piggyback probe
-    // read this contiguous array instead of the queue structs.
-    queue_bytes: Vec<u64>,
-
-    // Per-port direct-backlog sums (selective relay only): tor * s + port,
-    // maintained incrementally on every enqueue/dequeue so the relay
-    // steps' busy-port checks are O(1) instead of O(n).
-    backlog_by_port: Vec<u64>,
-    pair_port_tbl: Vec<u8>, // src * n + dst -> thin-clos pair port
 
     /// False after the predefined phase took the healthy-fabric fast path
     /// (skipping observation is a detector no-op then).
@@ -354,11 +366,10 @@ pub struct NegotiatorSim {
     // Adversarial fault families (flap / partition / gray / greedy) layered
     // on top of the clean failure schedule.
     faults: FaultModel,
-    // Per-epoch observation scratch.
-    egress_attempted: Vec<bool>,
-    egress_ok: Vec<bool>,
-    ingress_attempted: Vec<bool>,
-    ingress_ok: Vec<bool>,
+    // Per-epoch predefined-phase observations, `tor * s + port`: `None`
+    // if not attempted, else whether any attempt got its dummy through.
+    egress_obs: Vec<Option<bool>>,
+    ingress_obs: Vec<Option<bool>>,
 
     // Receive buffers and series; hosts drain the buffers each epoch.
     rx: Receivers,
@@ -433,9 +444,23 @@ impl NegotiatorSim {
             epoch_len: cfg.epoch.epoch_len(pre_slots),
             pb_payload: cfg.piggyback_payload().max(1),
             sched_payload: sched_payload.max(1),
-            pias_th: cfg.pias_thresholds(),
             epoch_capacity,
-            queues: (0..n * n).map(|_| DestQueue::new()).collect(),
+            data: DataState {
+                n,
+                s,
+                pias: cfg.priority_queues,
+                pias_th: cfg.pias_thresholds(),
+                queues: (0..n * n).map(|_| DestQueue::new()).collect(),
+                queue_bytes: vec![0; n * n],
+                enqueued_total: vec![0; n * n],
+                relay_buffers: (0..n).map(|_| RelayBuffer::default()).collect(),
+                backlog_by_port: if selective_relay {
+                    vec![0; n * s]
+                } else {
+                    Vec::new()
+                },
+                pair_port_tbl,
+            },
             grant_arbs,
             accept_arbs,
             out: Outboxes {
@@ -463,30 +488,19 @@ impl NegotiatorSim {
             } else {
                 Vec::new()
             },
-            enqueued_total: vec![0; n * n],
             reported_total: vec![0; n * n],
             iter_pending: VecDeque::new(),
             relay_policy: RelayPolicy::default_for(epoch_capacity),
-            relay_buffers: (0..n).map(|_| RelayBuffer::default()).collect(),
             relay_req_dirty: Vec::new(),
             relay_grant_dirty: Vec::new(),
             active_relay: vec![None; n * s],
-            queue_bytes: vec![0; n * n],
-            backlog_by_port: if selective_relay {
-                vec![0; n * s]
-            } else {
-                Vec::new()
-            },
-            pair_port_tbl,
             observe_pending: true,
             failures: LinkFailures::new(n, s),
             detector: FaultDetector::new(n, s),
             fail_sched: FailureSchedule::new(),
             faults: FaultModel::new(),
-            egress_attempted: vec![false; n * s],
-            egress_ok: vec![false; n * s],
-            ingress_attempted: vec![false; n * s],
-            ingress_ok: vec![false; n * s],
+            egress_obs: vec![None; n * s],
+            ingress_obs: vec![None; n * s],
             rx: Receivers {
                 buffer: vec![0; opts.host_buffer_bytes.map_or(0, |_| n)],
                 series: match opts.rx_window {
@@ -525,7 +539,9 @@ impl NegotiatorSim {
     /// replays in one-shard order (`sim/parallel.rs`), so any count gives
     /// the same bytes. Selective relay pins the run to one shard: relay
     /// admission reads claims left by lower-numbered ToRs in the same
-    /// step, so its visit order is semantic, not an artifact. The clamp
+    /// step, so its visit order is semantic, not an artifact, and the
+    /// scheduled body's relay transmissions write the intermediate ToR's
+    /// queue rows, which only a shard owning every row may do. The clamp
     /// depends only on options fixed at construction, never on data.
     fn par_workers(&self) -> usize {
         if self.opts.selective_relay {
@@ -643,7 +659,7 @@ impl NegotiatorSim {
             (tracker.remaining(id as u64), tracker.completion(id as u64))
         });
         for tor in 0..self.n {
-            let backlog: u64 = self.queue_bytes[tor * self.n..(tor + 1) * self.n]
+            let backlog: u64 = self.data.queue_bytes[tor * self.n..(tor + 1) * self.n]
                 .iter()
                 .sum();
             rec.backlog_sample(t0, epoch, tor, backlog);
@@ -656,7 +672,7 @@ impl NegotiatorSim {
         let (fp, fn_) = self.detector_divergence();
         PhaseCounters {
             delivered_bytes: tracker.delivered_payload(),
-            backlog_bytes: self.queue_bytes.iter().sum(),
+            backlog_bytes: self.data.queue_bytes.iter().sum(),
             grants: self.stats.grants_issued,
             accepts: self.stats.accepts_made,
             control_dropped: self.stats.control_dropped,
@@ -791,7 +807,7 @@ impl NegotiatorSim {
             cursor = self.inject(flows, cursor, t0);
             self.epoch_start(epoch, t0);
             cursor = self.predefined_phase(flows, cursor, epoch, t0, &mut tracker);
-            cursor = self.scheduled_phase(flows, cursor, epoch, t0, &mut tracker);
+            cursor = self.scheduled_phase(flows, cursor, t0, &mut tracker);
             self.observe_epoch();
             if let Some(spans) = spans.as_mut() {
                 self.trace_epoch(epoch, t0, flows, cursor, spans, &tracker);
@@ -835,43 +851,12 @@ impl NegotiatorSim {
     // Flow injection and failures
     // ------------------------------------------------------------------
 
+    /// Enqueue every flow that has arrived by `now` (epoch start) through
+    /// the source-row code the data phases inject with.
     fn inject(&mut self, flows: &[workload::Flow], mut cursor: usize, now: Nanos) -> usize {
-        let pias = self.cfg.priority_queues;
-        while cursor < flows.len() && flows[cursor].arrival <= now {
-            let f = &flows[cursor];
-            self.queues[f.src * self.n + f.dst].enqueue_flow(
-                f.id,
-                f.bytes,
-                f.arrival,
-                pias,
-                self.pias_th,
-            );
-            self.enqueued_total[f.src * self.n + f.dst] += f.bytes;
-            self.note_enqueue(f.src, f.dst, f.bytes);
-            cursor += 1;
-        }
+        let all = sim::shard::partition(self.n, 1);
+        self.data.split(&all)[0].inject(flows, &mut cursor, now);
         cursor
-    }
-
-    /// Mirror an enqueue into the dense byte counts and (selective relay)
-    /// the per-port direct-backlog cache.
-    #[inline]
-    fn note_enqueue(&mut self, src: usize, dst: usize, bytes: u64) {
-        self.queue_bytes[src * self.n + dst] += bytes;
-        if !self.backlog_by_port.is_empty() {
-            let port = self.pair_port_tbl[src * self.n + dst] as usize;
-            self.backlog_by_port[src * self.s + port] += bytes;
-        }
-    }
-
-    /// Mirror a dequeue; see [`Self::note_enqueue`].
-    #[inline]
-    fn note_dequeue(&mut self, src: usize, dst: usize, bytes: u64) {
-        self.queue_bytes[src * self.n + dst] -= bytes;
-        if !self.backlog_by_port.is_empty() {
-            let port = self.pair_port_tbl[src * self.n + dst] as usize;
-            self.backlog_by_port[src * self.s + port] -= bytes;
-        }
     }
 
     /// Debug-build check that the incremental mirrors still equal fresh
@@ -881,13 +866,13 @@ impl NegotiatorSim {
         for src in 0..self.n {
             for dst in 0..self.n {
                 debug_assert_eq!(
-                    self.queue_bytes[src * self.n + dst],
-                    self.queues[src * self.n + dst].total_bytes(),
+                    self.data.queue_bytes[src * self.n + dst],
+                    self.data.queues[src * self.n + dst].total_bytes(),
                     "queue-bytes mirror drifted at ({src}, {dst})"
                 );
             }
         }
-        if self.backlog_by_port.is_empty() {
+        if self.data.backlog_by_port.is_empty() {
             return;
         }
         for tor in 0..self.n {
@@ -895,12 +880,12 @@ impl NegotiatorSim {
                 let mut sum = 0;
                 for dst in 0..self.n {
                     if dst != tor && self.topo.port_reaches(tor, port, dst) {
-                        sum += self.queues[tor * self.n + dst].total_bytes();
+                        sum += self.data.queues[tor * self.n + dst].total_bytes();
                     }
                 }
                 debug_assert_eq!(
                     sum,
-                    self.backlog_by_port[tor * self.s + port],
+                    self.data.backlog_by_port[tor * self.s + port],
                     "backlog cache drifted at tor {tor} port {port}"
                 );
             }
@@ -977,7 +962,7 @@ impl NegotiatorSim {
     fn epoch_start_iterative(&mut self, rounds: usize) {
         let threshold = self.cfg.request_threshold_bytes();
         let mut requests: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for (src, row) in self.queue_bytes.chunks(self.n).enumerate() {
+        for (src, row) in self.data.queue_bytes.chunks(self.n).enumerate() {
             for (dst, &bytes) in row.iter().enumerate() {
                 if dst != src && bytes > threshold {
                     requests[dst].push(src);
@@ -1018,7 +1003,7 @@ impl NegotiatorSim {
     /// Direct backlog whose only path uses `port` of `tor` (thin-clos):
     /// an O(1) read of the incrementally maintained per-port sums.
     fn direct_backlog_via_port(&self, tor: usize, port: usize) -> u64 {
-        self.backlog_by_port[tor * self.s + port]
+        self.data.backlog_by_port[tor * self.s + port]
     }
 
     fn relay_request_step(&mut self, epoch: u64) {
@@ -1032,7 +1017,8 @@ impl NegotiatorSim {
                 if dst == src {
                     continue;
                 }
-                if !relay::pair_qualifies(&self.queues[src * self.n + dst], &self.relay_policy) {
+                if !relay::pair_qualifies(&self.data.queues[src * self.n + dst], &self.relay_policy)
+                {
                     continue;
                 }
                 // Scan a rotating window of intermediates; keep up to two
@@ -1085,7 +1071,7 @@ impl NegotiatorSim {
             if reqs.is_empty() {
                 continue;
             }
-            let mut space = self.relay_buffers[via].space(&self.relay_policy);
+            let mut space = self.data.relay_buffers[via].space(&self.relay_policy);
             for &r in &reqs {
                 let p = match self.topo.pair_port(r.src, via) {
                     Some(p) => p,
@@ -1137,222 +1123,28 @@ impl NegotiatorSim {
     fn predefined_phase(
         &mut self,
         flows: &[workload::Flow],
-        mut cursor: usize,
+        cursor: usize,
         epoch: u64,
         t0: Nanos,
         tracker: &mut FlowTracker,
     ) -> usize {
-        let rot = self.rotation(epoch);
-        // Healthy-fabric fast path: with zero ground failures (including
+        // Healthy-fabric gate: with zero ground failures (including
         // partitions), a quiescent detector and no active gray failure,
         // every connection is up and usable, and a round of all-success
         // observations would change no detector state — so the
         // per-connection bookkeeping and the end-of-epoch observation pass
         // can be skipped wholesale. Bit-exact: the only skipped work is
-        // writes of values already in place. Gray epochs must take the
-        // slow path even though no link is down: drops are decided
-        // per-connection and the detector has to see the misses.
-        if self.failures.healthy() && self.detector.is_quiescent() && !self.faults.gray_active() {
-            self.observe_pending = false;
-            return self.predefined_healthy(flows, cursor, rot, t0, tracker);
+        // writes of values already in place. Gray epochs must observe even
+        // though no link is down: drops are decided per connection and the
+        // detector has to see the misses.
+        let healthy =
+            self.failures.healthy() && self.detector.is_quiescent() && !self.faults.gray_active();
+        self.observe_pending = !healthy;
+        if !healthy {
+            self.egress_obs.fill(None);
+            self.ingress_obs.fill(None);
         }
-
-        self.observe_pending = true;
-        let prop = self.cfg.net.propagation_delay;
-        let piggyback = self.cfg.piggyback;
-        // The cached schedule lists each slot's connections in the same
-        // (src, port) order the old triple loop visited; take the cache so
-        // the loop body can borrow `self` mutably.
-        let cache = std::mem::take(&mut self.pre_cache);
-        self.egress_attempted.fill(false);
-        self.egress_ok.fill(false);
-        self.ingress_attempted.fill(false);
-        self.ingress_ok.fill(false);
-        for slot in 0..self.pre_slots {
-            let slot_start = t0 + slot as Nanos * self.pre_slot_len;
-            cursor = self.inject(flows, cursor, slot_start);
-            let arrive = slot_start + self.pre_slot_len + prop;
-            for conn in cache.slot_conns(rot, slot) {
-                let (src, port, dst) = (conn.src as usize, conn.port as usize, conn.dst as usize);
-                self.egress_attempted[src * self.s + port] = true;
-                self.ingress_attempted[dst * self.s + port] = true;
-                let up = self.failures.link_up(src, dst, port);
-                // Gray failure: the link carries data but loses this
-                // epoch's control traffic. No ok-observation is recorded
-                // (the detector sees a missed dummy and may exclude the
-                // link — an organic false positive) and no scheduling
-                // message crosses; undelivered requests and grants expire
-                // in their buckets at the next epoch start.
-                let gray = up && self.faults.gray_drops(epoch, src, dst);
-                if up && !gray {
-                    self.egress_ok[src * self.s + port] = true;
-                    self.ingress_ok[dst * self.s + port] = true;
-                    let idx = src * self.n + dst;
-                    let flags = self.msg_flags[idx];
-                    if flags != 0 {
-                        self.inbox.deliver(&self.out, self.n, src, dst, flags);
-                        self.msg_flags[idx] &= !REQ_FLAG; // a request is delivered once
-                    }
-                } else if gray {
-                    self.stats.control_dropped += self.control_msg_count(src, dst) + 1;
-                }
-                // Piggyback one data packet (§3.4.1) unless the
-                // detector already excluded the link.
-                if piggyback && self.detector.usable(src, dst, port) {
-                    if let Some(pkt) =
-                        self.queues[src * self.n + dst].dequeue_packet(self.pb_payload)
-                    {
-                        self.note_dequeue(src, dst, pkt.bytes);
-                        if pkt.relayed {
-                            self.relay_buffers[src].release(pkt.bytes);
-                        }
-                        if up {
-                            self.stats.piggyback_packets += 1;
-                            self.stats.piggyback_bytes += pkt.bytes;
-                            self.rx.deliver(tracker, dst, pkt.flow, pkt.bytes, arrive);
-                        } else {
-                            // A ground-truth-down link loses the packet;
-                            // recovery is an upper-layer (TCP) concern.
-                            self.stats.lost_packets += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.pre_cache = cache;
-        cursor
-    }
-
-    /// Control messages queued on the `src → dst` predefined connection
-    /// this epoch: the request (if flagged) plus the pair's grant and
-    /// relay buckets. Used to size [`SchedStats::control_dropped`] when a
-    /// gray failure eats the connection's control traffic.
-    fn control_msg_count(&self, src: usize, dst: usize) -> u64 {
-        let idx = src * self.n + dst;
-        let flags = self.msg_flags[idx];
-        let mut count = 0;
-        if flags & REQ_FLAG != 0 {
-            count += 1;
-        }
-        if flags & GRANT_FLAG != 0 {
-            count += self.out.grants[idx].len() as u64;
-        }
-        if flags & RELAY_REQ_FLAG != 0 {
-            count += self.out.relay_req[idx].len() as u64;
-        }
-        if flags & RELAY_GRANT_FLAG != 0 {
-            count += self.out.relay_grant[idx].len() as u64;
-        }
-        count
-    }
-
-    fn scheduled_phase(
-        &mut self,
-        flows: &[workload::Flow],
-        mut cursor: usize,
-        _epoch: u64,
-        t0: Nanos,
-        tracker: &mut FlowTracker,
-    ) -> usize {
-        let sched_start = t0 + self.pre_slots as Nanos * self.pre_slot_len;
-        let prop = self.cfg.net.propagation_delay;
-        let slot_len = self.cfg.epoch.scheduled_slot;
-        let k_slots = self.cfg.epoch.scheduled_slots;
-        if k_slots == 0 {
-            return cursor;
-        }
-        let total_slots = (self.n * self.s) as u64;
-        cursor = self.inject(flows, cursor, sched_start);
-
-        // Fast path: no flow arrives during the remaining slots and no
-        // relay transmissions are live, so every matched port can drain its
-        // whole phase in one batch. This is bit-exact, not approximate:
-        // without relays a flow lives in exactly one queue, each queue's
-        // dequeue sequence is preserved (single server batches; multi-port
-        // servers of one queue replay slot order), and the tracker /
-        // bandwidth series accumulate order-insensitively across queues.
-        let quiet = cursor >= flows.len()
-            || flows[cursor].arrival > sched_start + (k_slots as Nanos - 1) * slot_len;
-        if quiet && !self.opts.selective_relay {
-            self.stats.unmatched_slots +=
-                (total_slots - self.active_list.len() as u64) * k_slots as u64;
-            self.scheduled_batched(sched_start, tracker);
-            return cursor;
-        }
-
-        // General path: slot-major over the active list only; slots outside
-        // the list are unmatched for the whole phase (arithmetic, not
-        // iteration), relay slots that drain mid-phase count from then on.
-        let list = std::mem::take(&mut self.active_list);
-        for k in 0..k_slots {
-            let slot_start = sched_start + k as Nanos * slot_len;
-            cursor = self.inject(flows, cursor, slot_start);
-            let arrive = slot_start + slot_len + prop;
-            self.stats.unmatched_slots += total_slots - list.len() as u64;
-            for e in &list {
-                let slot = e.slot as usize;
-                let (src, port) = (slot / self.s, slot % self.s);
-                if !e.relay {
-                    self.serve_direct_slot(src, port, e.dst as usize, arrive, tracker);
-                } else if let Some((via, final_dst, vol)) = self.active_relay[slot] {
-                    if vol == 0 {
-                        continue;
-                    }
-                    let cap = self.sched_payload.min(vol);
-                    if let Some(pkt) =
-                        self.queues[src * self.n + final_dst].dequeue_lowest_packet(cap)
-                    {
-                        self.note_dequeue(src, final_dst, pkt.bytes);
-                        if pkt.relayed {
-                            self.relay_buffers[src].release(pkt.bytes);
-                        }
-                        self.active_relay[slot] = Some((via, final_dst, vol - pkt.bytes));
-                        if self.failures.link_up(src, via, port) {
-                            // Arrives at the intermediate: admitted to
-                            // its relay buffer and re-queued for the
-                            // final destination at lowest priority.
-                            self.relay_buffers[via].admit(pkt.bytes);
-                            self.queues[via * self.n + final_dst]
-                                .enqueue_relay(pkt.flow, pkt.bytes, arrive);
-                            self.note_enqueue(via, final_dst, pkt.bytes);
-                        }
-                    } else {
-                        self.active_relay[slot] = None; // drained
-                    }
-                } else {
-                    self.stats.unmatched_slots += 1;
-                }
-            }
-        }
-        self.active_list = list;
-        cursor
-    }
-
-    /// One scheduled-slot transmission of a direct match (general path).
-    #[inline]
-    fn serve_direct_slot(
-        &mut self,
-        src: usize,
-        port: usize,
-        dst: usize,
-        arrive: Nanos,
-        tracker: &mut FlowTracker,
-    ) {
-        if let Some(pkt) = self.queues[src * self.n + dst].dequeue_packet(self.sched_payload) {
-            self.note_dequeue(src, dst, pkt.bytes);
-            if pkt.relayed {
-                self.relay_buffers[src].release(pkt.bytes);
-            }
-            if self.failures.link_up(src, dst, port) {
-                self.stats.scheduled_packets += 1;
-                self.stats.scheduled_bytes += pkt.bytes;
-                self.rx.deliver(tracker, dst, pkt.flow, pkt.bytes, arrive);
-            } else {
-                self.stats.lost_packets += 1;
-            }
-        } else {
-            self.stats.overscheduled_slots += 1;
-        }
+        self.predefined_shards(flows, cursor, epoch, t0, healthy, tracker)
     }
 
     /// Feed the epoch's predefined-phase observations to the detector.
@@ -1362,15 +1154,13 @@ impl NegotiatorSim {
         if !self.observe_pending {
             return;
         }
-        for tor in 0..self.n {
-            for port in 0..self.s {
-                let i = tor * self.s + port;
-                if self.egress_attempted[i] {
-                    self.detector.observe_egress(tor, port, self.egress_ok[i]);
-                }
-                if self.ingress_attempted[i] {
-                    self.detector.observe_ingress(tor, port, self.ingress_ok[i]);
-                }
+        for (i, (&egress, &ingress)) in self.egress_obs.iter().zip(&self.ingress_obs).enumerate() {
+            let (tor, port) = (i / self.s, i % self.s);
+            if let Some(ok) = egress {
+                self.detector.observe_egress(tor, port, ok);
+            }
+            if let Some(ok) = ingress {
+                self.detector.observe_ingress(tor, port, ok);
             }
         }
     }

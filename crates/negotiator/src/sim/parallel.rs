@@ -10,8 +10,9 @@
 //!    a single shard. Each shard receives disjoint `&mut` windows of the
 //!    row-major state it owns ([`sim::shard::split_rows`]): REQUEST,
 //!    ACCEPT and the two data phases shard by *source* row, GRANT by
-//!    *granter* row. The type system — not a convention — rules out
-//!    cross-shard writes.
+//!    *granter* row. The data phases reach their queues through
+//!    [`SrcRows`], which is also the only flow-injection path. The type
+//!    system — not a convention — rules out cross-shard writes.
 //! 2. **A sink for everything else.** Writes that land on another ToR's
 //!    state (inbox pushes, stateful matrix reverts, data deliveries),
 //!    the phase's dirty indices and its counters go to a [`Sink`], in
@@ -23,7 +24,7 @@
 //!    the same `Direct` sink on the caller's thread, in the one-shard
 //!    visit order: shard concatenation where the body is row-major (rows
 //!    ascend across shards), slot-major interleaving where it is
-//!    slot-major (the predefined phase tags events with their slot). The
+//!    slot-major (both data phases tag events with their slot). The
 //!    write sequence is therefore *identical* at any shard count — no
 //!    commutativity assumptions, no floating-point reassociation.
 //!
@@ -34,21 +35,20 @@
 //!
 //! # What does not shard, and why
 //!
-//! * **Selective relay** runs these phases on one shard, and its relay
-//!   REQUEST/GRANT steps (`relay_request_step`, `relay_grant_step`) are
-//!   whole-fabric loops: relay grant admission reads `port_granted`/
-//!   buffer claims written by lower-numbered ToRs in the same step — the
-//!   visit order is semantic.
+//! * **Selective relay's REQUEST/GRANT steps** (`relay_request_step`,
+//!   `relay_grant_step`) are whole-fabric loops: relay grant admission
+//!   reads `port_granted`/buffer claims written by lower-numbered ToRs in
+//!   the same step — the visit order is semantic. Relay runs pin every
+//!   phase to one shard, which is also what lets a scheduled-phase relay
+//!   transmission enqueue at the intermediate ToR inside the body.
 //! * **Iterative mode's epoch start**: `IterativeMatcher` is a global
 //!   fixed point over all ToRs, not per-ToR work.
-//! * **The failure/gray predefined loop and the general scheduled
-//!   path** (flows arriving mid-phase, relay transmissions): observation
-//!   arrays are cross-indexed and relay transmissions enqueue at another
-//!   ToR; both are rare by construction.
-//! * **`rebuild_active_list` and the flag-clearing prologues**: memset-
-//!   class scans that cost less than a fork/join.
+//! * **`rebuild_active_list`, the epoch-start injection and the
+//!   flag/observation resets**: memset-class scans that cost less than a
+//!   fork/join.
 
 use super::*;
+use crate::queues::Packet;
 use sim::shard::{self, Shard};
 
 /// A write a phase body makes outside its own rows. `slot` is the
@@ -72,6 +72,15 @@ pub(super) enum Event {
         flow: u64,
         bytes: u64,
     },
+    /// A predefined connection's observation at its ingress end: `port`
+    /// of `dst` was attempted, and `ok` when its control traffic crossed
+    /// (failure-path epochs only).
+    Ingress {
+        slot: u32,
+        dst: u32,
+        port: u32,
+        ok: bool,
+    },
     /// A stateful debit of a rejected grant, returned to the granter's
     /// demand matrix.
     Revert { granter: u32, src: u32, debit: u64 },
@@ -80,7 +89,9 @@ pub(super) enum Event {
 impl Event {
     fn slot(&self) -> u32 {
         match *self {
-            Event::Msg { slot, .. } | Event::Data { slot, .. } => slot,
+            Event::Msg { slot, .. } | Event::Data { slot, .. } | Event::Ingress { slot, .. } => {
+                slot
+            }
             Event::Revert { .. } => 0,
         }
     }
@@ -110,6 +121,8 @@ pub(super) struct Direct<'a> {
     /// Data deliveries: receive side, tracker, arrival time of a slot-0
     /// packet, slot length.
     rx: Option<(&'a mut Receivers, &'a mut FlowTracker, Nanos, Nanos)>,
+    /// Ingress observations (`tor * s + port`), ports per ToR.
+    ingress: Option<(&'a mut [Option<bool>], usize)>,
 }
 
 impl<'a> Direct<'a> {
@@ -121,6 +134,7 @@ impl<'a> Direct<'a> {
             matrices: &mut [],
             msgs: None,
             rx: None,
+            ingress: None,
         }
     }
 }
@@ -146,6 +160,11 @@ impl Sink for Direct<'_> {
                     self.rx.as_mut().expect("phase delivers no data");
                 let at = *first + slot as Nanos * *slot_len;
                 rx.deliver(tracker, dst as usize, flow, bytes, at);
+            }
+            Event::Ingress { dst, port, ok, .. } => {
+                let (observed, s) = self.ingress.as_mut().expect("phase observes no links");
+                let obs = &mut observed[dst as usize * *s + port as usize];
+                *obs = Some(ok || *obs == Some(true));
             }
             Event::Revert {
                 granter,
@@ -212,8 +231,6 @@ pub(super) struct ParState {
     lanes: Vec<(SimScratch, Lane)>,
     /// Per-lane replay cursors (slot-major merges).
     ptrs: Vec<usize>,
-    /// Scheduled-phase chunk starts into `active_list`.
-    cuts: Vec<usize>,
 }
 
 impl ParState {
@@ -620,60 +637,187 @@ impl Body for RequestCtx<'_> {
     }
 }
 
-struct PredefCtx<'a> {
+/// One shard's source rows of [`DataState`]: its ToRs' per-destination
+/// queues and the mirrors each enqueue and dequeue keeps in step. Flow
+/// injection and every data-phase dequeue go through it, so each has one
+/// implementation.
+pub(super) struct SrcRows<'a> {
     shard: Shard,
     n: usize,
     s: usize,
+    pias: bool,
+    pias_th: [u64; 2],
+    pair_port_tbl: &'a [u8],
+    queues: &'a mut [DestQueue],
+    queue_bytes: &'a mut [u64],
+    enqueued_total: &'a mut [u64],
+    relay_buffers: &'a mut [RelayBuffer],
+    backlog_by_port: &'a mut [u64],
+}
+
+impl DataState {
+    /// One [`SrcRows`] per shard, in shard order.
+    pub(super) fn split(&mut self, shards: &[Shard]) -> Vec<SrcRows<'_>> {
+        let (n, s) = (self.n, self.s);
+        let backlog_width = if self.backlog_by_port.is_empty() {
+            0
+        } else {
+            s
+        };
+        let mut queues = Rows::new(&mut self.queues, n, shards);
+        let mut qbytes = Rows::new(&mut self.queue_bytes, n, shards);
+        let mut enq = Rows::new(&mut self.enqueued_total, n, shards);
+        let mut bufs = Rows::new(&mut self.relay_buffers, 1, shards);
+        let mut backlogs = Rows::new(&mut self.backlog_by_port, backlog_width, shards);
+        shards
+            .iter()
+            .map(|&shard| SrcRows {
+                shard,
+                n,
+                s,
+                pias: self.pias,
+                pias_th: self.pias_th,
+                pair_port_tbl: &self.pair_port_tbl,
+                queues: queues.window(),
+                queue_bytes: qbytes.window(),
+                enqueued_total: enq.window(),
+                relay_buffers: bufs.window(),
+                backlog_by_port: backlogs.window(),
+            })
+            .collect()
+    }
+}
+
+impl SrcRows<'_> {
+    /// `(src, dst)`'s index into this shard's row windows.
+    #[inline]
+    fn row(&self, src: usize, dst: usize) -> usize {
+        (src - self.shard.start) * self.n + dst
+    }
+
+    /// Apply `update` to `(src, dst)`'s mirrors: its queue bytes and,
+    /// under selective relay, the backlog of the port it leaves through.
+    #[inline]
+    fn mirror(&mut self, src: usize, dst: usize, update: impl Fn(&mut u64)) {
+        update(&mut self.queue_bytes[self.row(src, dst)]);
+        if let Some(&port) = self.pair_port_tbl.get(src * self.n + dst) {
+            update(&mut self.backlog_by_port[(src - self.shard.start) * self.s + port as usize]);
+        }
+    }
+
+    /// Enqueue this shard's flows of `flows[*next..]` that have arrived by
+    /// `now`, advancing `*next` past every arrived flow (other shards'
+    /// included).
+    pub(super) fn inject(&mut self, flows: &[workload::Flow], next: &mut usize, now: Nanos) {
+        while let Some(f) = flows.get(*next).filter(|f| f.arrival <= now) {
+            *next += 1;
+            if f.src < self.shard.start || f.src >= self.shard.end {
+                continue;
+            }
+            let row = self.row(f.src, f.dst);
+            self.queues[row].enqueue_flow(f.id, f.bytes, f.arrival, self.pias, self.pias_th);
+            self.enqueued_total[row] += f.bytes;
+            self.mirror(f.src, f.dst, |b| *b += f.bytes);
+        }
+    }
+
+    /// Take the `src → dst` queue's next packet: the highest-priority one,
+    /// or with `lowest` only from the lowest level (relay forwarding).
+    #[inline]
+    fn dequeue(&mut self, src: usize, dst: usize, payload: u64, lowest: bool) -> Option<Packet> {
+        let row = self.row(src, dst);
+        if self.queue_bytes[row] == 0 {
+            return None; // the dense mirror spares a queue-struct probe
+        }
+        let pkt = if lowest {
+            self.queues[row].dequeue_lowest_packet(payload)?
+        } else {
+            self.queues[row].dequeue_packet(payload)?
+        };
+        self.mirror(src, dst, |b| *b -= pkt.bytes);
+        if pkt.relayed {
+            self.relay_buffers[src - self.shard.start].release(pkt.bytes);
+        }
+        Some(pkt)
+    }
+}
+
+struct PredefCtx<'a> {
+    rows: SrcRows<'a>,
+    /// The healthy-fabric gate held: every link is up and usable, and
+    /// nothing is observed.
+    healthy: bool,
+    epoch: u64,
     rot: u64,
     t0: Nanos,
     pre_slots: usize,
     pre_slot_len: Nanos,
     pb_payload: u64,
-    pias_th: [u64; 2],
-    cfg: &'a NegotiatorConfig,
+    piggyback: bool,
     /// Flows arriving during this phase; each shard enqueues only its own
     /// sources.
     flows: &'a [workload::Flow],
     cache: &'a PredefinedCache,
-    pair_port_tbl: &'a [u8],
-    queues: &'a mut [DestQueue],
-    queue_bytes: &'a mut [u64],
-    enqueued_total: &'a mut [u64],
+    out: &'a Outboxes,
+    failures: &'a LinkFailures,
+    faults: &'a FaultModel,
+    detector: &'a FaultDetector,
     msg_flags: &'a mut [u8],
-    relay_buffers: &'a mut [RelayBuffer],
-    backlog_by_port: &'a mut [u64],
+    egress_obs: &'a mut [Option<bool>],
 }
 
 impl PredefCtx<'_> {
-    /// The selective-relay per-port backlog entry of pair `(src, dst)`;
-    /// `None` outside selective relay, which keeps no pair-port table.
-    fn backlog_slot(&self, src: usize, dst: usize) -> Option<usize> {
-        let port = *self.pair_port_tbl.get(src * self.n + dst)? as usize;
-        Some((src - self.shard.start) * self.s + port)
+    /// The failure-path bookkeeping of connection `src → dst` on `port`
+    /// in `slot`: record both ends' observations (the ingress end through
+    /// the sink) and count the control messages a gray failure eats.
+    /// Returns whether the link is up, whether its control traffic
+    /// crosses, and whether the detector still lets it carry data.
+    fn observe<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        slot: u32,
+        (src, port, dst): (usize, usize, usize),
+        flags: u8,
+    ) -> (bool, bool, bool) {
+        let egress = (src - self.rows.shard.start) * self.rows.s + port;
+        let up = self.failures.link_up(src, dst, port);
+        // Gray failure: the link carries data but loses this epoch's
+        // control traffic. No ok-observation is recorded (the detector
+        // sees a missed dummy and may exclude the link — an organic false
+        // positive) and no scheduling message crosses; undelivered
+        // requests and grants expire in their buckets at the next epoch
+        // start.
+        let gray = up && self.faults.gray_drops(self.epoch, src, dst);
+        let ok = up && !gray;
+        self.egress_obs[egress] = Some(ok || self.egress_obs[egress] == Some(true));
+        sink.push(Event::Ingress {
+            slot,
+            dst: dst as u32,
+            port: port as u32,
+            ok,
+        });
+        if gray {
+            // The dummy, the request and the pair's buckets (a bucket is
+            // non-empty exactly when its flag is set; relay buckets exist
+            // only under selective relay).
+            let (idx, out) = (src * self.rows.n + dst, self.out);
+            sink.stats().control_dropped +=
+                (1 + usize::from(flags & REQ_FLAG != 0)
+                    + out.grants[idx].len()
+                    + out.relay_req.get(idx).map_or(0, Vec::len)
+                    + out.relay_grant.get(idx).map_or(0, Vec::len)) as u64;
+        }
+        (up, ok, self.detector.usable(src, dst, port))
     }
 }
 
 impl Body for PredefCtx<'_> {
-    fn run<S: Sink>(self, _: &mut SimScratch, sink: &mut S) {
-        let (n, shard) = (self.n, self.shard);
-        let mut fi = 0;
+    fn run<S: Sink>(mut self, _: &mut SimScratch, sink: &mut S) {
+        let shard = self.rows.shard;
+        let mut next = 0;
         for slot in 0..self.pre_slots {
             let slot_start = self.t0 + slot as Nanos * self.pre_slot_len;
-            while fi < self.flows.len() && self.flows[fi].arrival <= slot_start {
-                let f = &self.flows[fi];
-                fi += 1;
-                if f.src < shard.start || f.src >= shard.end {
-                    continue;
-                }
-                let row = (f.src - shard.start) * n + f.dst;
-                let pias = self.cfg.priority_queues;
-                self.queues[row].enqueue_flow(f.id, f.bytes, f.arrival, pias, self.pias_th);
-                self.enqueued_total[row] += f.bytes;
-                self.queue_bytes[row] += f.bytes;
-                if let Some(b) = self.backlog_slot(f.src, f.dst) {
-                    self.backlog_by_port[b] += f.bytes;
-                }
-            }
+            self.rows.inject(self.flows, &mut next, slot_start);
             let conns = self.cache.slot_conns_for_srcs(
                 self.rot,
                 slot,
@@ -682,10 +826,14 @@ impl Body for PredefCtx<'_> {
             );
             let slot = slot as u32;
             for conn in conns {
-                let (src, dst) = (conn.src as usize, conn.dst as usize);
-                let row = (src - shard.start) * n + dst;
+                let (src, port, dst) = (conn.src as usize, conn.port as usize, conn.dst as usize);
+                let row = self.rows.row(src, dst);
                 let flags = self.msg_flags[row];
-                if flags != 0 {
+                let (up, ctrl, usable) = match self.healthy {
+                    true => (true, true, true),
+                    false => self.observe(sink, slot, (src, port, dst), flags),
+                };
+                if ctrl && flags != 0 {
                     sink.push(Event::Msg {
                         slot,
                         src: conn.src,
@@ -694,27 +842,12 @@ impl Body for PredefCtx<'_> {
                     });
                     self.msg_flags[row] &= !REQ_FLAG; // a request is delivered once
                 }
-                // Piggyback one data packet (§3.4.1).
-                if self.cfg.piggyback && self.queue_bytes[row] > 0 {
-                    let pkt = self.queues[row]
-                        .dequeue_packet(self.pb_payload)
-                        .expect("non-zero mirror implies a packet");
-                    self.queue_bytes[row] -= pkt.bytes;
-                    if let Some(b) = self.backlog_slot(src, dst) {
-                        self.backlog_by_port[b] -= pkt.bytes;
+                // Piggyback one data packet (§3.4.1) unless the detector
+                // already excluded the link.
+                if self.piggyback && usable {
+                    if let Some(pkt) = self.rows.dequeue(src, dst, self.pb_payload, false) {
+                        send(sink, up, true, slot, conn.dst, pkt);
                     }
-                    if pkt.relayed {
-                        self.relay_buffers[src - shard.start].release(pkt.bytes);
-                    }
-                    let stats = sink.stats();
-                    stats.piggyback_packets += 1;
-                    stats.piggyback_bytes += pkt.bytes;
-                    sink.push(Event::Data {
-                        slot,
-                        dst: conn.dst,
-                        flow: pkt.flow,
-                        bytes: pkt.bytes,
-                    });
                 }
             }
         }
@@ -722,94 +855,86 @@ impl Body for PredefCtx<'_> {
 }
 
 struct SchedCtx<'a> {
-    shard: Shard,
-    n: usize,
-    s: usize,
+    rows: SrcRows<'a>,
     k_slots: usize,
+    sched_start: Nanos,
+    slot_len: Nanos,
+    prop: Nanos,
     sched_payload: u64,
+    /// Flows arriving during this phase; each shard enqueues only its own
+    /// sources.
+    flows: &'a [workload::Flow],
     failures: &'a LinkFailures,
-    /// This shard's chunk of `active_list`.
+    /// This shard's run of `active_list`.
     entries: &'a [ActiveTx],
-    queues: &'a mut [DestQueue],
-    queue_bytes: &'a mut [u64],
-    relay_buffers: &'a mut [RelayBuffer],
+    active_relay: &'a mut [Option<(usize, usize, u64)>],
 }
 
 impl Body for SchedCtx<'_> {
-    fn run<S: Sink>(self, sc: &mut SimScratch, sink: &mut S) {
-        let (n, s, k_slots, entries) = (self.n, self.s, self.k_slots, self.entries);
-        let mut i = 0;
-        while i < entries.len() {
-            // One source's run of entries (same src ⇒ contiguous, ≤ s long).
-            let src = entries[i].slot as usize / s;
-            let mut run_end = i + 1;
-            while run_end < entries.len() && entries[run_end].slot as usize / s == src {
-                run_end += 1;
-            }
-            let run = &entries[i..run_end];
-            let shared_queue = run
-                .iter()
-                .enumerate()
-                .any(|(a, e)| run[..a].iter().any(|f| f.dst == e.dst));
-            let local = src - self.shard.start;
-            if shared_queue {
-                // Rare: one queue feeds several ports; replay slot order.
-                for k in 0..k_slots {
-                    for e in run {
-                        let (port, dst) = (e.slot as usize % s, e.dst as usize);
-                        let row = local * n + dst;
-                        let Some(pkt) = self.queues[row].dequeue_packet(self.sched_payload) else {
-                            sink.stats().overscheduled_slots += 1;
-                            continue;
-                        };
-                        self.queue_bytes[row] -= pkt.bytes;
-                        if pkt.relayed {
-                            self.relay_buffers[local].release(pkt.bytes);
+    fn run<S: Sink>(mut self, _: &mut SimScratch, sink: &mut S) {
+        let (s, shard) = (self.rows.s, self.rows.shard);
+        let mut next = 0;
+        for k in 0..self.k_slots {
+            let slot_start = self.sched_start + k as Nanos * self.slot_len;
+            self.rows.inject(self.flows, &mut next, slot_start);
+            for e in self.entries {
+                let (src, port) = (e.slot as usize / s, e.slot as usize % s);
+                if !e.relay {
+                    let dst = e.dst as usize;
+                    match self.rows.dequeue(src, dst, self.sched_payload, false) {
+                        Some(pkt) => {
+                            let up = self.failures.link_up(src, dst, port);
+                            send(sink, up, false, k as u32, e.dst, pkt);
                         }
-                        let up = self.failures.link_up(src, dst, port);
-                        send(sink, up, k, e.dst, pkt);
+                        None => sink.stats().overscheduled_slots += 1,
                     }
+                    continue;
                 }
-            } else {
-                for e in run {
-                    let (port, dst) = (e.slot as usize % s, e.dst as usize);
-                    let row = local * n + dst;
-                    sc.packets.clear();
-                    self.queues[row].dequeue_packets_into(
-                        self.sched_payload,
-                        k_slots,
-                        &mut sc.packets,
-                    );
-                    let drained: u64 = sc.packets.iter().map(|p| p.bytes).sum();
-                    self.queue_bytes[row] -= drained;
-                    sink.stats().overscheduled_slots += (k_slots - sc.packets.len()) as u64;
-                    let up = self.failures.link_up(src, dst, port);
-                    for (k, &pkt) in sc.packets.iter().enumerate() {
-                        if pkt.relayed {
-                            self.relay_buffers[local].release(pkt.bytes);
-                        }
-                        send(sink, up, k, e.dst, pkt);
-                    }
+                let local = e.slot as usize - shard.start * s;
+                let Some((via, final_dst, vol)) = self.active_relay[local] else {
+                    sink.stats().unmatched_slots += 1;
+                    continue;
+                };
+                if vol == 0 {
+                    continue;
+                }
+                let cap = self.sched_payload.min(vol);
+                let Some(pkt) = self.rows.dequeue(src, final_dst, cap, true) else {
+                    self.active_relay[local] = None; // drained
+                    continue;
+                };
+                self.active_relay[local] = Some((via, final_dst, vol - pkt.bytes));
+                if self.failures.link_up(src, via, port) {
+                    // Arrives at the intermediate: admitted to its relay
+                    // buffer and re-queued for the final destination at
+                    // lowest priority. Another ToR's row — legal only
+                    // because relay runs on one shard that owns every row.
+                    let arrive = slot_start + self.slot_len + self.prop;
+                    let rows = &mut self.rows;
+                    rows.relay_buffers[via].admit(pkt.bytes);
+                    let row = rows.row(via, final_dst);
+                    rows.queues[row].enqueue_relay(pkt.flow, pkt.bytes, arrive);
+                    rows.mirror(via, final_dst, |b| *b += pkt.bytes);
                 }
             }
-            i = run_end;
         }
     }
 }
-
-/// One scheduled-slot transmission: delivered if the link is up, lost
-/// otherwise.
+/// One data transmission in `slot`, piggybacked or scheduled: delivered
+/// to `dst` if the link is up; a ground-truth-down link loses the packet
+/// (recovery is an upper-layer, TCP concern).
 #[inline]
-fn send(sink: &mut impl Sink, up: bool, k: usize, dst: u32, pkt: Packet) {
+fn send(sink: &mut impl Sink, up: bool, piggyback: bool, slot: u32, dst: u32, pkt: Packet) {
     let stats = sink.stats();
-    if !up {
-        stats.lost_packets += 1;
-        return;
-    }
-    stats.scheduled_packets += 1;
-    stats.scheduled_bytes += pkt.bytes;
+    let (packets, bytes) = match (up, piggyback) {
+        (false, _) => return stats.lost_packets += 1,
+        (true, true) => (&mut stats.piggyback_packets, &mut stats.piggyback_bytes),
+        (true, false) => (&mut stats.scheduled_packets, &mut stats.scheduled_bytes),
+    };
+    *packets += 1;
+    *bytes += pkt.bytes;
     sink.push(Event::Data {
-        slot: k as u32,
+        slot,
         dst,
         flow: pkt.flow,
         bytes: pkt.bytes,
@@ -933,9 +1058,9 @@ impl NegotiatorSim {
                 now,
                 threshold: self.cfg.request_threshold_bytes(),
                 topo: &self.topo,
-                queues: &self.queues,
-                queue_bytes: &self.queue_bytes,
-                enqueued_total: &self.enqueued_total,
+                queues: &self.data.queues,
+                queue_bytes: &self.data.queue_bytes,
+                enqueued_total: &self.data.enqueued_total,
                 req_out: outs.window(),
                 req_port_out: ports.window(),
                 msg_flags: flags.window(),
@@ -950,67 +1075,58 @@ impl NegotiatorSim {
             .run(ctxs, &mut self.scratch, &mut direct, Replay::Concat);
     }
 
-    /// Healthy-fabric predefined phase. Shards own source rows: they
-    /// inject their own flows at slot boundaries, clear their own REQ
-    /// flags, drain their own piggyback queues — and send every
-    /// cross-ToR effect to the sink tagged with its slot. k-shard lanes
-    /// replay slot-major, lanes in shard order within a slot, which is
-    /// exactly the `(slot, src, port)` order of the one-shard loop.
-    pub(super) fn predefined_healthy(
+    /// Predefined phase (sharded by source ToR). Shards inject their own
+    /// flows at slot boundaries, clear their own REQ flags, drain their
+    /// own piggyback queues and, unless `healthy`, write their own egress
+    /// observations — and send every cross-ToR effect (messages, data,
+    /// ingress observations) to the sink tagged with its slot. k-shard
+    /// lanes replay slot-major, lanes in shard order within a slot, which
+    /// is exactly the `(slot, src, port)` order of the one-shard loop.
+    pub(super) fn predefined_shards(
         &mut self,
         flows: &[workload::Flow],
         cursor: usize,
-        rot: u64,
+        epoch: u64,
         t0: Nanos,
+        healthy: bool,
         tracker: &mut FlowTracker,
     ) -> usize {
-        debug_assert!(
-            !self.faults.gray_active(),
-            "gray epochs take the failure path (healthy gate)"
-        );
         let (n, s, pre_slot_len) = (self.n, self.s, self.pre_slot_len);
         let last_start = t0 + (self.pre_slots as Nanos - 1) * pre_slot_len;
         let end = cursor + flows[cursor..].partition_point(|f| f.arrival <= last_start);
+        let rot = self.rotation(epoch);
         let shards = shard::partition(n, self.par_workers());
-        let backlog_width = if self.backlog_by_port.is_empty() {
-            0
-        } else {
-            s
-        };
-        let mut queues = Rows::new(&mut self.queues, n, &shards);
-        let mut qbytes = Rows::new(&mut self.queue_bytes, n, &shards);
-        let mut enq = Rows::new(&mut self.enqueued_total, n, &shards);
         let mut flags = Rows::new(&mut self.msg_flags, n, &shards);
-        let mut bufs = Rows::new(&mut self.relay_buffers, 1, &shards);
-        let mut backlogs = Rows::new(&mut self.backlog_by_port, backlog_width, &shards);
-        let ctxs = shards
-            .iter()
-            .map(|&shard| PredefCtx {
-                shard,
-                n,
-                s,
+        let mut observed = Rows::new(&mut self.egress_obs, s, &shards);
+        let ctxs = self
+            .data
+            .split(&shards)
+            .into_iter()
+            .map(|rows| PredefCtx {
+                rows,
+                healthy,
+                epoch,
                 rot,
                 t0,
                 pre_slots: self.pre_slots,
                 pre_slot_len,
                 pb_payload: self.pb_payload,
-                pias_th: self.pias_th,
-                cfg: &self.cfg,
+                piggyback: self.cfg.piggyback,
                 flows: &flows[cursor..end],
                 cache: &self.pre_cache,
-                pair_port_tbl: &self.pair_port_tbl,
-                queues: queues.window(),
-                queue_bytes: qbytes.window(),
-                enqueued_total: enq.window(),
+                out: &self.out,
+                failures: &self.failures,
+                faults: &self.faults,
+                detector: &self.detector,
                 msg_flags: flags.window(),
-                relay_buffers: bufs.window(),
-                backlog_by_port: backlogs.window(),
+                egress_obs: observed.window(),
             })
             .collect();
         let first = t0 + pre_slot_len + self.cfg.net.propagation_delay;
         let mut direct = Direct {
             msgs: Some((&mut self.inbox, &self.out, n)),
             rx: Some((&mut self.rx, tracker, first, pre_slot_len)),
+            ingress: Some((&mut self.ingress_obs, s)),
             ..Direct::new(&mut self.stats)
         };
         let replay = Replay::SlotMajor(self.pre_slots);
@@ -1018,78 +1134,70 @@ impl NegotiatorSim {
         end
     }
 
-    /// Quiet scheduled phase: each matched port pulls its whole phase's
-    /// packets in one batch dequeue; ports of one source serving the
-    /// *same* destination queue replay exact slot order instead (their
-    /// interleaving determines which packet each port carries).
-    /// `active_list` is split at source-run boundaries into per-shard
-    /// chunks (the list is slot-ordered, so chunks cover disjoint,
-    /// ascending source ranges); data events carry the scheduled slot
-    /// `k` and replay in lane order = list order = one-shard order.
-    pub(super) fn scheduled_batched(&mut self, sched_start: Nanos, tracker: &mut FlowTracker) {
-        debug_assert!(!self.opts.selective_relay, "relay takes the general path");
-        let list = &self.active_list[..];
-        if list.is_empty() {
-            return;
-        }
+    /// Scheduled phase (sharded by source ToR), slot-major: at each slot a
+    /// shard injects its own sources' arrivals, then moves one packet per
+    /// entry of its run of `active_list` (the list is `(src, port)`
+    /// ordered, so runs are contiguous). Data events carry the slot `k`;
+    /// k-shard lanes replay slot-major, which is the one-shard order.
+    /// A relay transmission enqueues at the intermediate ToR mid-phase —
+    /// a write to another ToR's row that only a one-shard run may make.
+    pub(super) fn scheduled_phase(
+        &mut self,
+        flows: &[workload::Flow],
+        cursor: usize,
+        t0: Nanos,
+        tracker: &mut FlowTracker,
+    ) -> usize {
         let (n, s) = (self.n, self.s);
-        let workers = self.par_workers();
-        // Chunk starts, aligned so no source's run spans two chunks.
-        let cuts = &mut self.par.cuts;
-        cuts.clear();
-        cuts.push(0);
-        for c in 1..workers {
-            let mut i = (list.len() * c) / workers;
-            if i > 0 {
-                let prev = list[i - 1].slot as usize / s;
-                while i < list.len() && list[i].slot as usize / s == prev {
-                    i += 1;
-                }
-            }
-            if i > cuts[cuts.len() - 1] && i < list.len() {
-                cuts.push(i);
-            }
+        let (k_slots, slot_len) = (
+            self.cfg.epoch.scheduled_slots,
+            self.cfg.epoch.scheduled_slot,
+        );
+        if k_slots == 0 {
+            return cursor;
         }
-        cuts.push(list.len());
-        // Source ranges covered by each chunk tile [0, n).
-        let src_at = |i: usize| match i {
-            0 => 0,
-            i if i == list.len() => n,
-            i => list[i].slot as usize / s,
-        };
-        let shards: Vec<_> = cuts
-            .windows(2)
-            .map(|w| Shard {
-                start: src_at(w[0]),
-                end: src_at(w[1]),
+        // Slots outside the active list are unmatched for the whole phase
+        // (arithmetic, not iteration); relay slots that drain mid-phase
+        // count from then on, in the body.
+        self.stats.unmatched_slots += ((n * s - self.active_list.len()) * k_slots) as u64;
+        let sched_start = t0 + self.pre_slots as Nanos * self.pre_slot_len;
+        let last_start = sched_start + (k_slots as Nanos - 1) * slot_len;
+        let end = cursor + flows[cursor..].partition_point(|f| f.arrival <= last_start);
+        let shards = shard::partition(n, self.par_workers());
+        assert!(
+            !self.opts.selective_relay || shards.len() == 1,
+            "relay transmissions write the intermediate ToR's rows: one shard only"
+        );
+        let mut relays = Rows::new(&mut self.active_relay, s, &shards);
+        let list = &self.active_list[..];
+        let ctxs = self
+            .data
+            .split(&shards)
+            .into_iter()
+            .map(|rows| {
+                let run_of = |src| list.partition_point(|e| (e.slot as usize) < src * s);
+                let entries = &list[run_of(rows.shard.start)..run_of(rows.shard.end)];
+                SchedCtx {
+                    rows,
+                    k_slots,
+                    sched_start,
+                    slot_len,
+                    prop: self.cfg.net.propagation_delay,
+                    sched_payload: self.sched_payload,
+                    flows: &flows[cursor..end],
+                    failures: &self.failures,
+                    entries,
+                    active_relay: relays.window(),
+                }
             })
             .collect();
-        let mut queues = Rows::new(&mut self.queues, n, &shards);
-        let mut qbytes = Rows::new(&mut self.queue_bytes, n, &shards);
-        let mut bufs = Rows::new(&mut self.relay_buffers, 1, &shards);
-        let ctxs = shards
-            .iter()
-            .zip(cuts.windows(2))
-            .map(|(&shard, w)| SchedCtx {
-                shard,
-                n,
-                s,
-                k_slots: self.cfg.epoch.scheduled_slots,
-                sched_payload: self.sched_payload,
-                failures: &self.failures,
-                entries: &list[w[0]..w[1]],
-                queues: queues.window(),
-                queue_bytes: qbytes.window(),
-                relay_buffers: bufs.window(),
-            })
-            .collect();
-        let slot_len = self.cfg.epoch.scheduled_slot;
         let first = sched_start + slot_len + self.cfg.net.propagation_delay;
         let mut direct = Direct {
             rx: Some((&mut self.rx, tracker, first, slot_len)),
             ..Direct::new(&mut self.stats)
         };
-        self.par
-            .run(ctxs, &mut self.scratch, &mut direct, Replay::Concat);
+        let replay = Replay::SlotMajor(k_slots);
+        self.par.run(ctxs, &mut self.scratch, &mut direct, replay);
+        end
     }
 }

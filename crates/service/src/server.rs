@@ -40,7 +40,7 @@
 //! | `POST /shutdown`          | begin graceful shutdown                       |
 
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,6 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bench::cache::{CacheEntry, ResultCache};
+use bench::profile::{self, Stage};
 use bench::scenario::{deterministic_document, execute_traced, load_str};
 use metrics::Json;
 use scenario::hash::hex;
@@ -66,6 +67,14 @@ use crate::{log_debug, log_error, log_info};
 /// layout changes without sniffing fields. Bumped when a line's shape
 /// changes incompatibly.
 pub const PROGRESS_SCHEMA_VERSION: u64 = 1;
+
+/// How long a connection may sit idle mid-request before its handler
+/// gives up: an idle or stalled peer cannot hold a handler thread, and
+/// with it graceful shutdown, forever.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Pause after a failed `accept` (e.g. out of file descriptors).
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -136,9 +145,6 @@ impl Server {
     pub fn start(config: ServeConfig) -> Result<Server, String> {
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("binding {}: {e}", config.addr))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("nonblocking listener: {e}"))?;
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local addr: {e}"))?;
@@ -190,6 +196,16 @@ impl Server {
         }
         self.state.closed.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
+            // Wake the blocking `accept` so it sees `closed`; a wildcard
+            // bind is reached over loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = accept.join();
         }
         let handles: Vec<_> = lock_recover(&self.conns).drain(..).collect();
@@ -268,12 +284,13 @@ fn accept_loop(
     conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
     loop {
+        let accepted = listener.accept();
         if state.closed.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
+                let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                 let state = Arc::clone(state);
                 // lint: allow(D003) one thread per connection; simulation work still runs on sim::pool
                 let handle = std::thread::spawn(move || handle_connection(stream, &state));
@@ -281,10 +298,9 @@ fn accept_loop(
                 conns.retain(|h| !h.is_finished());
                 conns.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            // Out of descriptors or a similar transient failure: back off
+            // instead of spinning on the error.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -388,7 +404,7 @@ fn handle_healthz(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::
 fn handle_metrics(stream: &mut TcpStream, state: &Arc<ServerState>) -> std::io::Result<()> {
     let (admitted, active, coalesced) = state.table.stats();
     let pool = lock_recover(&state.pool).as_ref().map(|p| p.snapshot());
-    let stages = bench::profile::snapshot();
+    let stages = profile::snapshot();
     let text = render_prometheus(&MetricsInput {
         draining: state.draining.load(Ordering::SeqCst),
         jobs_admitted: admitted,
@@ -432,7 +448,10 @@ fn handle_submit(
     // Validate + compile before anything queues: a bad scenario costs the
     // submitter one round trip and the daemon nothing.
     let origin = state.config.scenarios_dir.join("<submission>");
-    let compiled = match load_str(text, &origin) {
+    let timer = profile::start(Stage::Compile);
+    let compiled = load_str(text, &origin);
+    timer.stop();
+    let compiled = match compiled {
         Ok(compiled) => compiled,
         Err(error) => return error_response(stream, 400, &error),
     };
@@ -523,7 +542,9 @@ fn execute_job(state: &Arc<ServerState>, job: &Arc<Job>, compiled: &CompiledScen
             state.config.workers,
             state.config.trace_capacity,
         );
+        let timer = profile::start(Stage::Render);
         let document = deterministic_document(&report);
+        timer.stop();
         let entry = CacheEntry {
             scenario: compiled.spec.name.clone(),
             rendered: report.rendered,

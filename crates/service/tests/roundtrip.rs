@@ -82,6 +82,17 @@ fn submit_is_byte_identical_then_cache_hits() {
         phase_events, 4,
         "two engines x two phases streamed live progress"
     );
+    // The submission compiled and rendered, and `/metrics` saw both.
+    let (_, metrics) = client::request_json(&addr, "GET", "/metrics", b"").unwrap();
+    for stage in ["compile", "render"] {
+        let family = format!("paper_stage_calls_total{{stage=\"{stage}\"}} ");
+        let calls: u64 = metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(family.as_str()))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {family} in:\n{metrics}"));
+        assert!(calls > 0, "{stage} stage never timed");
+    }
 
     // Resubmission: served from the cache, same bytes, no progress
     // events (nothing simulates).
@@ -278,6 +289,33 @@ fn graceful_shutdown_rejects_new_work_and_drains() {
     assert_eq!(outcome.disposition, Disposition::CacheHit);
     assert_eq!(outcome.document, expected);
     let _ = std::fs::remove_dir_all(&out);
+}
+
+/// An idle client (connected, never sending a byte) cannot wedge
+/// graceful shutdown: its handler's read times out and the join returns.
+#[test]
+fn idle_connection_does_not_block_shutdown() {
+    let (mut server, addr, out) = start_server("idle", 1);
+    let idle = std::net::TcpStream::connect(&addr).expect("connect");
+    // Answered only after the idle connection, queued first, was accepted.
+    let (status, _) = client::request_json(&addr, "GET", "/healthz", b"").unwrap();
+    assert_eq!(status, 200);
+    // lint: allow(D003) the channel bounds the wait on the shutdown thread
+    let (done_tx, done_rx) = mpsc::channel();
+    // lint: allow(D003) shutdown runs aside so a regression fails instead of hanging
+    let shutdown = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    let bound = std::time::Duration::from_secs(15);
+    let done = done_rx.recv_timeout(bound);
+    drop(idle);
+    let _ = std::fs::remove_dir_all(&out);
+    assert!(
+        done.is_ok(),
+        "an idle connection held shutdown past {bound:?}"
+    );
+    shutdown.join().expect("shutdown thread panicked");
 }
 
 #[test]

@@ -92,14 +92,17 @@ pub fn split_rows<'a, T>(
     out
 }
 
-/// Run `f` once per shard context on scoped worker threads and return
-/// the results in context order. `f` receives `(shard_index, context)`.
+/// Run `f` once per shard context and return the results in context
+/// order. `f` receives `(shard_index, context)`.
 ///
-/// With one context (or one worker producing one shard) everything runs
-/// inline on the caller's thread — the sequential and parallel paths
-/// share this entry point, so "1 worker" is not a special case at call
-/// sites. A panicking shard is re-raised on the caller, lowest shard
-/// index first, after every sibling finished (no detached threads).
+/// Context 0 runs on the caller's thread and the other k−1 on scoped
+/// worker threads, so a k-shard call spawns k−1 threads instead of
+/// leaving the caller idle in `join`. With one context (or one worker
+/// producing one shard) everything runs inline — the sequential and
+/// parallel paths share this entry point, so "1 worker" is not a special
+/// case at call sites. A panicking shard is re-raised on the caller,
+/// lowest shard index first, after every sibling finished (no detached
+/// threads).
 pub fn map_shards<C, T, F>(ctxs: Vec<C>, f: F) -> Vec<T>
 where
     C: Send,
@@ -110,15 +113,15 @@ where
         return ctxs.into_iter().enumerate().map(|(i, c)| f(i, c)).collect();
     }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ctxs
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let f = &f;
-                scope.spawn(move || f(i, c))
-            })
+        let f = &f;
+        let mut ctxs = ctxs.into_iter().enumerate();
+        let (i0, c0) = ctxs.next().expect("two or more contexts");
+        let handles: Vec<_> = ctxs.map(|(i, c)| scope.spawn(move || f(i, c))).collect();
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i0, c0)));
+        // Join every sibling before re-raising any panic.
+        let results: Vec<_> = std::iter::once(first)
+            .chain(handles.into_iter().map(|h| h.join()))
             .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         results
             .into_iter()
             .map(|r| match r {

@@ -183,9 +183,10 @@ fn variant_reports_are_identical_at_any_worker_count() {
     }
 }
 
-/// A run that crosses failure epochs mixes engine paths — epoch-start
-/// steps stay sharded while the predefined phase falls back to the
-/// sequential observation loop — and must still be worker-independent.
+/// A run that crosses failure epochs shards the predefined phase's
+/// observation path too — egress observations per shard, ingress ones
+/// and the lost/dropped/piggyback counters merged from the lanes — and
+/// must still be worker-independent, counters included.
 #[test]
 fn failure_runs_are_identical_at_any_worker_count() {
     use negotiator::FailureAction;
@@ -206,7 +207,8 @@ fn failure_runs_are_identical_at_any_worker_count() {
             },
         );
         sim.schedule_failure(30 * epoch, FailureAction::RepairAll);
-        sim.run(&t, DURATION)
+        let report = sim.run(&t, DURATION);
+        (report, *sim.stats())
     };
     let sequential = run(1);
     assert_eq!(sequential, run(8), "8 workers diverged across failures");
